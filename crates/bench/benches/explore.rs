@@ -1,5 +1,6 @@
 //! Exploration throughput: full-recompute versus incremental move
-//! evaluation, and end-to-end multi-start exploration.
+//! evaluation, end-to-end multi-start exploration, and Figure 9 rate
+//! evaluation per candidate.
 //!
 //! The tentpole claim is that `CostCache` makes single-object move
 //! evaluation cheap enough for multi-start search: each trial move costs
@@ -9,16 +10,21 @@
 //! synthetic design, then times `explore()` itself at one and at many
 //! threads — and records everything in `BENCH_explore.json` at the repo
 //! root, including the full/incremental speedup the acceptance criteria
-//! gate on.
+//! gate on. The rate row times one candidate's Figure 9 tables under all
+//! four models (`figure9_row`) over seeded random partitions; the
+//! 256-behavior synthetic point records move evaluation and rates only,
+//! because the deterministic partitioners take tens of seconds there.
 
 use std::time::Instant;
 
 use modref_bench::harness::Criterion;
 use modref_bench::{criterion_group, criterion_main};
 
+use modref_core::figure9_row;
 use modref_graph::AccessGraph;
 use modref_partition::explore::{explore, ExploreConfig};
 use modref_partition::{partition_cost, Allocation, CostCache, CostConfig, Partition};
+use modref_rng::Rng;
 use modref_spec::Spec;
 use modref_workloads::{
     medical_allocation, medical_partition, medical_spec, Design, SynthConfig, SynthSpec,
@@ -33,10 +39,55 @@ struct Record {
     full_ns_per_eval: f64,
     incremental_ns_per_eval: f64,
     speedup: f64,
-    explore_candidates: usize,
-    explore_secs_serial: f64,
-    explore_secs_parallel: f64,
-    explore_threads: usize,
+    data_channels: usize,
+    rate_partitions: usize,
+    rate_ms_per_candidate: f64,
+    explore: Option<ExploreTiming>,
+}
+
+/// End-to-end `explore()` at one and at many threads.
+struct ExploreTiming {
+    candidates: usize,
+    secs_serial: f64,
+    secs_parallel: f64,
+    threads: usize,
+}
+
+/// `n` partitions drawn uniformly at random: every leaf and variable
+/// on a seeded random component.
+fn random_partitions(spec: &Spec, alloc: &Allocation, n: usize) -> Vec<Partition> {
+    let ids = alloc.ids();
+    let mut rng = Rng::seed_from_u64(7);
+    (0..n)
+        .map(|_| {
+            let mut part = Partition::with_default(ids[0]);
+            for leaf in spec.leaves() {
+                part.assign_behavior(leaf, ids[rng.gen_range(0..ids.len())]);
+            }
+            for (v, _) in spec.variables() {
+                part.assign_var(v, ids[rng.gen_range(0..ids.len())]);
+            }
+            part
+        })
+        .collect()
+}
+
+/// Milliseconds per candidate to evaluate its Figure 9 tables under all
+/// four models, over `parts`, repeated for at least 50 ms.
+fn time_rates(spec: &Spec, graph: &AccessGraph, alloc: &Allocation, parts: &[Partition]) -> f64 {
+    let config = CostConfig::default().lifetime;
+    let row = |part: &Partition| figure9_row(spec, graph, alloc, part, &config).expect("rates");
+    for part in parts {
+        row(part);
+    }
+    let (mut evals, start) = (0usize, Instant::now());
+    while evals == 0 || start.elapsed().as_secs_f64() < 0.05 {
+        for part in parts {
+            assert!(row(part).iter().all(|t| t.bus_count() > 0));
+        }
+        evals += parts.len();
+    }
+    start.elapsed().as_secs_f64() * 1e3 / evals as f64
 }
 
 /// Times `evals` move evaluations via full `partition_cost` recompute:
@@ -102,6 +153,7 @@ fn measure(
     alloc: &Allocation,
     part: &Partition,
     evals: u64,
+    with_explore: bool,
 ) -> Record {
     let config = CostConfig::default();
     // Warm both paths once so allocation noise stays out of the timing.
@@ -109,35 +161,8 @@ fn measure(
     time_incremental(spec, graph, alloc, part, &config, evals / 10 + 1);
     let full = time_full(spec, graph, alloc, part, &config, evals);
     let incremental = time_incremental(spec, graph, alloc, part, &config, evals);
-
-    let expl = ExploreConfig {
-        seeds: 4,
-        anneal_iterations: 300,
-        migration_passes: 6,
-        threads: Some(1),
-    };
-    let start = Instant::now();
-    let serial = explore(spec, graph, alloc, &config, &expl);
-    let explore_secs_serial = start.elapsed().as_secs_f64();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let start = Instant::now();
-    let parallel = explore(
-        spec,
-        graph,
-        alloc,
-        &config,
-        &ExploreConfig {
-            threads: Some(threads),
-            ..expl
-        },
-    );
-    let explore_secs_parallel = start.elapsed().as_secs_f64();
-    assert_eq!(
-        serial, parallel,
-        "exploration must be thread-count invariant"
-    );
+    let parts = random_partitions(spec, alloc, 8);
+    let rate_ms_per_candidate = time_rates(spec, graph, alloc, &parts);
 
     Record {
         name,
@@ -147,18 +172,72 @@ fn measure(
         full_ns_per_eval: full,
         incremental_ns_per_eval: incremental,
         speedup: full / incremental,
-        explore_candidates: serial.len(),
-        explore_secs_serial,
-        explore_secs_parallel,
-        explore_threads: threads,
+        data_channels: graph.data_channel_count(),
+        rate_partitions: parts.len(),
+        rate_ms_per_candidate,
+        explore: with_explore.then(|| time_explore(spec, graph, alloc, &config)),
     }
 }
 
+fn time_explore(
+    spec: &Spec,
+    graph: &AccessGraph,
+    alloc: &Allocation,
+    config: &CostConfig,
+) -> ExploreTiming {
+    let expl = ExploreConfig {
+        seeds: 4,
+        anneal_iterations: 300,
+        migration_passes: 6,
+        threads: Some(1),
+    };
+    let start = Instant::now();
+    let serial = explore(spec, graph, alloc, config, &expl);
+    let secs_serial = start.elapsed().as_secs_f64();
+    let threads = nproc();
+    let start = Instant::now();
+    let parallel = explore(
+        spec,
+        graph,
+        alloc,
+        config,
+        &ExploreConfig {
+            threads: Some(threads),
+            ..expl
+        },
+    );
+    let secs_parallel = start.elapsed().as_secs_f64();
+    assert_eq!(
+        serial, parallel,
+        "exploration must be thread-count invariant"
+    );
+    ExploreTiming {
+        candidates: serial.len(),
+        secs_serial,
+        secs_parallel,
+        threads,
+    }
+}
+
+fn nproc() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 fn json(records: &[Record]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"explore\",\n  \"workloads\": [\n");
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let mut out = format!(
+        "{{\n  \"bench\": \"explore\",\n  \"nproc\": {},\n  \"profile\": \"{profile}\",\n  \"workloads\": [\n",
+        nproc()
+    );
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\n      \"name\": \"{}\",\n      \"behaviors\": {},\n      \"leaves\": {},\n      \"move_evals\": {},\n      \"full_ns_per_eval\": {:.1},\n      \"incremental_ns_per_eval\": {:.1},\n      \"speedup\": {:.2},\n      \"explore_candidates\": {},\n      \"explore_secs_serial\": {:.4},\n      \"explore_secs_parallel\": {:.4},\n      \"explore_threads\": {},\n      \"explore_candidates_per_sec\": {:.1}\n    }}{}\n",
+            "    {{\n      \"name\": \"{}\",\n      \"behaviors\": {},\n      \"leaves\": {},\n      \"move_evals\": {},\n      \"full_ns_per_eval\": {:.1},\n      \"incremental_ns_per_eval\": {:.1},\n      \"speedup\": {:.2},\n      \"data_channels\": {},\n      \"rate_partitions\": {},\n      \"rate_ms_per_candidate\": {:.4}",
             r.name,
             r.behaviors,
             r.leaves,
@@ -166,11 +245,22 @@ fn json(records: &[Record]) -> String {
             r.full_ns_per_eval,
             r.incremental_ns_per_eval,
             r.speedup,
-            r.explore_candidates,
-            r.explore_secs_serial,
-            r.explore_secs_parallel,
-            r.explore_threads,
-            r.explore_candidates as f64 / r.explore_secs_parallel.max(1e-9),
+            r.data_channels,
+            r.rate_partitions,
+            r.rate_ms_per_candidate,
+        ));
+        if let Some(e) = &r.explore {
+            out.push_str(&format!(
+                ",\n      \"explore_candidates\": {},\n      \"explore_secs_serial\": {:.4},\n      \"explore_secs_parallel\": {:.4},\n      \"explore_threads\": {},\n      \"explore_candidates_per_sec\": {:.1}",
+                e.candidates,
+                e.secs_serial,
+                e.secs_parallel,
+                e.threads,
+                e.candidates as f64 / e.secs_parallel.max(1e-9),
+            ));
+        }
+        out.push_str(&format!(
+            "\n    }}{}\n",
             if i + 1 == records.len() { "" } else { "," }
         ));
     }
@@ -206,9 +296,23 @@ fn bench_explore(c: &mut Criterion) {
     });
     group.finish();
 
+    // The 256-behavior point, where rate evaluation used to redo
+    // O(spec) work per model.
+    let synth256 = SynthSpec::generate(
+        11,
+        &SynthConfig {
+            leaves: 192,
+            vars: 128,
+            stmts_per_leaf: 6,
+            fanout: 4,
+            loop_percent: 30,
+        },
+    );
+    let synth256_graph = synth256.graph();
+
     // The recorded comparison the acceptance criteria read.
     let records = vec![
-        measure("medical", &spec, &graph, &alloc, &med_part, 4000),
+        measure("medical", &spec, &graph, &alloc, &med_part, 4000, true),
         measure(
             "synth24",
             &synth.spec,
@@ -216,22 +320,35 @@ fn bench_explore(c: &mut Criterion) {
             &alloc,
             &synth_part,
             2000,
+            true,
+        ),
+        measure(
+            "synth256",
+            &synth256.spec,
+            &synth256_graph,
+            &alloc,
+            &synth_part,
+            200,
+            false,
         ),
     ];
     for r in &records {
         eprintln!(
-            "{:<8} {:>2} behaviors: full {:>10.0} ns/eval, incremental {:>8.0} ns/eval — {:>5.1}x; \
-             explore {} candidates in {:.3}s serial / {:.3}s on {} threads",
+            "{:<8} {:>3} behaviors: full {:>10.0} ns/eval, incremental {:>8.0} ns/eval — {:>5.1}x; \
+             rates {:.4} ms/candidate (4 models)",
             r.name,
             r.behaviors,
             r.full_ns_per_eval,
             r.incremental_ns_per_eval,
             r.speedup,
-            r.explore_candidates,
-            r.explore_secs_serial,
-            r.explore_secs_parallel,
-            r.explore_threads,
+            r.rate_ms_per_candidate,
         );
+        if let Some(e) = &r.explore {
+            eprintln!(
+                "         explore {} candidates in {:.3}s serial / {:.3}s on {} threads",
+                e.candidates, e.secs_serial, e.secs_parallel, e.threads,
+            );
+        }
     }
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_explore.json");

@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use modref_bench::render_table;
-use modref_core::{figure9_rates, refine, ImplModel};
+use modref_core::{figure9_row, refine, ImplModel};
 use modref_estimate::LifetimeConfig;
 use modref_graph::AccessGraph;
 use modref_sim::Simulator;
@@ -42,8 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for design in Design::ALL {
         let part = medical_partition(&spec, &alloc, design);
         let mut row = vec![design.label().to_string()];
-        for model in ImplModel::ALL {
-            let rates = figure9_rates(&spec, &graph, &alloc, &part, model, &cfg)?;
+        for rates in figure9_row(&spec, &graph, &alloc, &part, &cfg)? {
             let cells: Vec<String> = rates.iter().map(|(_, r)| format!("{r:.0}")).collect();
             row.push(cells.join(", "));
         }

@@ -10,10 +10,12 @@
 //! Pareto-optimal points are flagged so a designer reads the frontier
 //! directly off the table.
 //!
-//! Rate evaluation fans out over the same deterministic
-//! [`par_map`] used for partitioning, so the
-//! full exploration is parallel end to end yet reproducible for a fixed
-//! seed count regardless of thread count.
+//! Partitioning fans out over the deterministic [`par_map`]. Rate
+//! evaluation then runs one job per candidate: the candidate's
+//! model-independent facts once, shared lifetimes across candidates, and
+//! one cheap bus-mapping pass per model (see [`crate::rates`]). Either
+//! way the exploration is reproducible for a fixed seed count regardless
+//! of thread count.
 //!
 //! [`Codesign::verify`](crate::api::Codesign::verify) closes the loop
 //! from estimation to *verification*: every distinct Pareto-front
@@ -27,7 +29,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use modref_graph::AccessGraph;
-use modref_partition::explore::{explore_with_observer, Candidate, ExploreConfig};
+use modref_partition::explore::{explore_with_observer, ExploreConfig};
 use modref_partition::{par_map, thread_count, Allocation, CostConfig, CostReport, Partition};
 use modref_sim::{SimConfig, SimKernel, Simulator};
 use modref_spec::span::SourceMap;
@@ -36,7 +38,7 @@ use modref_spec::Spec;
 use crate::api::{CancelToken, Progress, ProgressFn};
 use crate::error::RefineError;
 use crate::model::ImplModel;
-use crate::rates::figure9_rates;
+use crate::rates::{CandidateRates, ChannelRates};
 use crate::refine::refine;
 
 /// One fully evaluated design point: a candidate partition under one
@@ -79,13 +81,14 @@ impl Exploration {
 
 /// The implementation behind
 /// [`Codesign::explore`](crate::api::Codesign::explore). The token is
-/// checked before each partition job and each rate evaluation; on stop
-/// the partial result ranks whatever finished — the facade then checks
-/// its token, discards the partial result and reports the stop reason.
+/// checked before each partition job and each candidate's rate job; on
+/// stop the partial result ranks whatever finished — the facade then
+/// checks its token, discards the partial result and reports the stop
+/// reason.
 ///
 /// `progress` receives `explore.job` per finished partition job,
 /// `explore.candidates` once the candidate set is fixed, and
-/// `explore.rate` per finished rate evaluation.
+/// `explore.rate` per finished candidate × model rate table.
 pub(crate) fn explore_designs_impl(
     spec: &Spec,
     graph: &AccessGraph,
@@ -95,8 +98,7 @@ pub(crate) fn explore_designs_impl(
     cancel: Option<&CancelToken>,
     progress: Option<&ProgressFn>,
 ) -> Result<Exploration, RefineError> {
-    let span = modref_obs::span("explore_designs");
-    let span_id = span.id();
+    let _span = modref_obs::span("explore_designs");
     let stop_fn: Option<Box<dyn Fn() -> bool + Sync>> = cancel.map(|token| {
         let token = token.clone();
         Box::new(move || token.stopped().is_some()) as Box<dyn Fn() -> bool + Sync>
@@ -120,15 +122,6 @@ pub(crate) fn explore_designs_impl(
         stop_fn.as_deref(),
         on_job.as_deref(),
     );
-    let lifetime = cost_config.lifetime;
-
-    // Cross candidates with models; rate evaluation is independent per
-    // pair, so fan it out too.
-    let jobs: Vec<(usize, ImplModel)> = candidates
-        .iter()
-        .enumerate()
-        .flat_map(|(i, _)| ImplModel::ALL.iter().map(move |&m| (i, m)))
-        .collect();
     if let Some(p) = progress {
         let n = candidates.len() as u64;
         p.emit(&Progress {
@@ -137,44 +130,38 @@ pub(crate) fn explore_designs_impl(
             total: n,
         });
     }
-    let rate_total = jobs.len() as u64;
-    let rate_done = AtomicU64::new(0);
-    let threads = thread_count(expl.threads);
-    let rated = par_map(jobs, threads, |_, (ci, model)| {
-        if cancel.is_some_and(|t| t.stopped().is_some()) {
-            return Ok(None);
-        }
-        let _job = modref_obs::span_under(span_id, "rate_eval").attr("model", model.name());
-        let cand: &Candidate = &candidates[ci];
-        let out = figure9_rates(spec, graph, allocation, &cand.partition, model, &lifetime)
-            .map(|table| Some((ci, model, table.max_rate(), table.bus_count())));
-        if let Some(p) = progress {
-            let done = rate_done.fetch_add(1, Ordering::Relaxed) + 1;
-            p.emit(&Progress {
-                phase: "explore.rate",
-                done,
-                total: rate_total,
-            });
-        }
-        out
-    });
 
-    let mut points = Vec::with_capacity(rated.len());
-    for r in rated {
-        let Some((ci, model, max_bus_rate, bus_count)) = r? else {
-            continue;
-        };
-        let cand = &candidates[ci];
-        points.push(DesignPoint {
-            algorithm: cand.algorithm,
-            seed: cand.seed,
-            model,
-            cost: cand.cost,
-            max_bus_rate,
-            bus_count,
-            pareto: false,
-            partition: cand.partition.clone(),
-        });
+    // One rate job per candidate: its model-independent facts once, then
+    // a cheap mapping pass per model, all sharing one lifetime table.
+    let mut rates = ChannelRates::new(spec, allocation, &cost_config.lifetime);
+    let rate_total = (candidates.len() * ImplModel::ALL.len()) as u64;
+    let mut points = Vec::with_capacity(rate_total as usize);
+    for cand in &candidates {
+        if cancel.is_some_and(|t| t.stopped().is_some()) {
+            break;
+        }
+        let _job = modref_obs::span("rate_eval");
+        let facts = CandidateRates::new(graph, allocation, &cand.partition, &mut rates)?;
+        for model in ImplModel::ALL {
+            let table = facts.table(allocation, model);
+            points.push(DesignPoint {
+                algorithm: cand.algorithm,
+                seed: cand.seed,
+                model,
+                cost: cand.cost,
+                max_bus_rate: table.max_rate(),
+                bus_count: table.bus_count(),
+                pareto: false,
+                partition: cand.partition.clone(),
+            });
+            if let Some(p) = progress {
+                p.emit(&Progress {
+                    phase: "explore.rate",
+                    done: points.len() as u64,
+                    total: rate_total,
+                });
+            }
+        }
     }
 
     rank(&mut points);

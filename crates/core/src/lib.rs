@@ -24,10 +24,13 @@
 //!   arbiters where several masters share a bus (Figure 7), and Model4's
 //!   message-passing bus interfaces (Figure 8).
 //!
-//! [`plan::RefinePlan`] is the shared analysis: memory modules, buses,
-//! the global address map, per-bus master lists, and the mapping of every
-//! original data channel to the bus(es) that carry it — which also drives
-//! the Figure 9 bus-transfer-rate tables ([`rates`]).
+//! [`plan::BusAssignment`] is the one place buses are named: from each
+//! variable's home and local/global class ([`plan::Placement`]) it
+//! decides a model's memory modules, its buses in the paper's order and
+//! the bus chain of every access. [`plan::RefinePlan`] composes it with
+//! the global address map for refinement, and the Figure 9
+//! bus-transfer-rate tables ([`rates`]) map each data channel through it
+//! directly, one cheap pass per model.
 //!
 //! ## Example
 //!
@@ -83,7 +86,7 @@ pub use explore::{DesignPoint, Exploration, Verification, VerifyRecord};
 pub use lint::static_reject;
 pub use model::ImplModel;
 pub use plan::RefinePlan;
-pub use rates::figure9_rates;
+pub use rates::{figure9_rates, figure9_row};
 pub use refine::{refine, refine_with_options, RefineOptions, Refined};
 pub use report::CostSummary;
 pub use trace_check::{check_stuttering_refinement, TraceMismatch};

@@ -1,25 +1,33 @@
-//! The refinement plan: the pure analysis shared by the spec transformer
-//! and the Figure 9 rate tables.
+//! The refinement plan: the pure analysis behind the spec transformer,
+//! and the bus assignment it shares with the Figure 9 rate tables.
 //!
-//! Given a spec, access graph, allocation, partition and an
-//! [`ImplModel`], the plan decides:
+//! [`BusAssignment`] is the model-specific decision, and the only place
+//! buses are named. From each variable's *home component* and its
+//! local/global class under a partition (a [`Placement`]) it decides:
 //!
-//! * which **memory modules** exist and which variables each holds
-//!   (grouped by the variable's *home component* and its local/global
-//!   class, matching the paper's Gmem/Lmem split — Model1 maps everything
-//!   to global memories, Model4 everything to local memories);
-//! * which **buses** exist, named `b1`, `b2`, ... in the paper's canonical
-//!   order for each model (Figure 3);
-//! * the **global address map** (each memory occupies a contiguous range
-//!   so slaves can range-decode shared buses);
+//! * which **memory modules** exist and which one holds each variable
+//!   (grouped by home component and local/global class, matching the
+//!   paper's Gmem/Lmem split — Model1 maps everything to global
+//!   memories, Model4 everything to local memories);
+//! * which **buses** exist, named `b1`, `b2`, ... in the paper's
+//!   canonical order for each model (Figure 3);
 //! * which bus (or bus *chain*, for Model4 remote accesses) carries each
-//!   variable access.
+//!   access, and which buses each memory's ports serve.
+//!
+//! A [`Placement`] does not depend on the model, so the rate path
+//! ([`crate::rates`]) computes it once per candidate partition and
+//! derives all four models' bus tables from one [`BusAssignment`] each.
+//!
+//! [`RefinePlan`] composes a [`BusAssignment`] with what only
+//! refinement needs: named memory modules with their variables and port
+//! buses, the **global address map** (each memory occupies a contiguous
+//! range so slaves can range-decode shared buses) and the bus widths.
 
 use std::collections::HashMap;
 
 use modref_graph::{AccessGraph, ChannelId};
 use modref_partition::{Allocation, ComponentId, Partition, VarClass};
-use modref_spec::{Spec, VarId};
+use modref_spec::{BehaviorId, Spec, VarId};
 
 use crate::address::AddressMap;
 use crate::arch::BusKind;
@@ -50,6 +58,346 @@ pub struct BusPlan {
     pub kind: BusKind,
 }
 
+/// The model-independent facts of one partition that bus assignment
+/// and the Figure 9 rates need: each variable's home component and
+/// local/global class, and the component running each data channel's
+/// behavior (its *accessor*).
+///
+/// The class follows the paper's Section 3 rule, as
+/// [`Partition::classify_var`] does: a variable is **global** when some
+/// behavior accessing it runs on a component other than its home.
+/// Computing it from the data channels resolves each behavior's
+/// component once for all variables.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Placement {
+    /// `(home, class)` per variable, indexed by [`VarId::index`].
+    homes: Vec<(ComponentId, VarClass)>,
+    /// The accessor per data channel, in [`AccessGraph::data_channels`]
+    /// order; `None` when the channel's behavior has no component.
+    accessors: Vec<Option<ComponentId>>,
+}
+
+impl Placement {
+    /// Places every variable and data channel of `spec` under
+    /// `partition`.
+    ///
+    /// # Errors
+    ///
+    /// * [`RefineError::EmptyAllocation`] for an empty allocation;
+    /// * [`RefineError::UnassignedBehavior`] / `UnassignedVar` when the
+    ///   partition leaves objects without a component.
+    pub fn new(
+        spec: &Spec,
+        graph: &AccessGraph,
+        allocation: &Allocation,
+        partition: &Partition,
+    ) -> Result<Self, RefineError> {
+        if allocation.is_empty() {
+            return Err(RefineError::EmptyAllocation);
+        }
+        let mut resolved: Vec<Option<Option<ComponentId>>> = vec![None; spec.behavior_count()];
+        let mut component_of = |b: BehaviorId| {
+            *resolved[b.index()].get_or_insert_with(|| partition.component_of_behavior(spec, b))
+        };
+        for leaf in spec.leaves() {
+            if component_of(leaf).is_none() {
+                return Err(RefineError::UnassignedBehavior(leaf));
+            }
+        }
+        let mut homes = spec
+            .variables()
+            .map(|(v, _)| {
+                let home = partition
+                    .component_of_var(spec, v)
+                    .ok_or(RefineError::UnassignedVar(v))?;
+                Ok((home, VarClass::Local))
+            })
+            .collect::<Result<Vec<_>, RefineError>>()?;
+        let accessors = graph
+            .data_channels()
+            .map(|ch| {
+                let accessor = component_of(ch.behavior()?);
+                if let Some(v) = ch.var() {
+                    let (home, class) = &mut homes[v.index()];
+                    if accessor != Some(*home) {
+                        *class = VarClass::Global;
+                    }
+                }
+                accessor
+            })
+            .collect();
+        Ok(Self { homes, accessors })
+    }
+
+    /// `(home, class)` per variable, indexed by [`VarId::index`].
+    pub fn homes(&self) -> &[(ComponentId, VarClass)] {
+        &self.homes
+    }
+
+    /// The accessor of each data channel, in
+    /// [`AccessGraph::data_channels`] order.
+    pub fn accessors(&self) -> &[Option<ComponentId>] {
+        &self.accessors
+    }
+}
+
+/// The buses one access travels, as indices into
+/// [`BusAssignment::buses`]: one bus for shared-memory models, and
+/// `[interface-access, inter-component, remote local]` for Model4 remote
+/// accesses. The first element is the bus the *master behavior* itself
+/// drives.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BusChain {
+    hops: [usize; 3],
+    len: usize,
+}
+
+impl BusChain {
+    fn one(bus: usize) -> Self {
+        Self {
+            hops: [bus, 0, 0],
+            len: 1,
+        }
+    }
+
+    /// The bus indices in travel order.
+    pub fn as_slice(&self) -> &[usize] {
+        &self.hops[..self.len]
+    }
+}
+
+/// One implementation model's memory modules, buses and access routes.
+/// See the [module docs](self).
+#[derive(Debug, Clone, PartialEq)]
+pub struct BusAssignment {
+    model: ImplModel,
+    /// `(home, global)` per memory module, by component, locals first.
+    memories: Vec<(ComponentId, bool)>,
+    /// The memory module per variable, indexed by [`VarId::index`].
+    var_memory: Vec<Option<usize>>,
+    buses: Vec<BusPlan>,
+    /// Per component index.
+    local: Vec<Option<usize>>,
+    ifc: Vec<Option<usize>>,
+    /// Model3's dedicated buses, indexed `memory * components + accessor`.
+    gmem: Vec<Option<usize>>,
+    shared_global: Option<usize>,
+    inter: Option<usize>,
+}
+
+impl BusAssignment {
+    /// Assigns memories and buses for `model` from each variable's
+    /// `(home, class)` as [`Placement::homes`] gives them. Variables
+    /// homed outside the allocation get no memory.
+    pub fn new(
+        model: ImplModel,
+        allocation: &Allocation,
+        homes: &[(ComponentId, VarClass)],
+    ) -> Self {
+        let p = allocation.len();
+        let global_mem = |class: VarClass| match model {
+            ImplModel::Model1 => true,
+            ImplModel::Model2 | ImplModel::Model3 => class == VarClass::Global,
+            ImplModel::Model4 => false,
+        };
+        let slot_of = |&(home, class): &(ComponentId, VarClass)| {
+            (home.index() < p).then(|| 2 * home.index() + usize::from(global_mem(class)))
+        };
+        let mut present = vec![false; 2 * p];
+        for slot in homes.iter().filter_map(slot_of) {
+            present[slot] = true;
+        }
+        let mut slots = vec![None; 2 * p];
+        let mut memories = Vec::new();
+        for slot in (0..2 * p).filter(|&slot| present[slot]) {
+            slots[slot] = Some(memories.len());
+            memories.push((component(slot / 2), slot % 2 == 1));
+        }
+        let var_memory = homes
+            .iter()
+            .map(|h| slot_of(h).and_then(|slot| slots[slot]))
+            .collect();
+        let mut a = Self {
+            model,
+            gmem: vec![None; memories.len() * p],
+            memories,
+            var_memory,
+            buses: Vec::new(),
+            local: vec![None; p],
+            ifc: vec![None; p],
+            shared_global: None,
+            inter: None,
+        };
+        a.plan_buses(&slots, p);
+        a
+    }
+
+    fn next_bus(&mut self, kind: BusKind) -> usize {
+        let b = self.buses.len();
+        self.buses.push(BusPlan {
+            name: format!("b{}", b + 1),
+            kind,
+        });
+        b
+    }
+
+    /// Plans a local bus for component `c` when it has a local memory.
+    fn local_bus(&mut self, slots: &[Option<usize>], c: usize) {
+        if slots[2 * c].is_some() {
+            self.local[c] = Some(self.next_bus(BusKind::Local(component(c))));
+        }
+    }
+
+    fn plan_buses(&mut self, slots: &[Option<usize>], p: usize) {
+        match self.model {
+            ImplModel::Model1 => {
+                self.shared_global = Some(self.next_bus(BusKind::Global));
+            }
+            ImplModel::Model2 => {
+                // Paper order (Figure 3(b), p = 2): b1 local0, b2 global,
+                // b3 local1 — first local bus, shared global bus, then the
+                // remaining local buses.
+                if p > 0 {
+                    self.local_bus(slots, 0);
+                }
+                if self.memories.iter().any(|&(_, global)| global) {
+                    self.shared_global = Some(self.next_bus(BusKind::Global));
+                }
+                for c in 1..p {
+                    self.local_bus(slots, c);
+                }
+            }
+            ImplModel::Model3 => {
+                // Paper order (Figure 3(c), p = 2): b1 local0, b2..b5 the
+                // dedicated component->global-memory buses, b6 local1.
+                if p > 0 {
+                    self.local_bus(slots, 0);
+                }
+                for mem in 0..self.memories.len() {
+                    if self.memories[mem].1 {
+                        for accessor in 0..p {
+                            self.gmem[mem * p + accessor] = Some(self.next_bus(BusKind::Global));
+                        }
+                    }
+                }
+                for c in 1..p {
+                    self.local_bus(slots, c);
+                }
+            }
+            ImplModel::Model4 => {
+                // Paper order (Figure 3(d), p = 2): b1 local0, b2 ifc0,
+                // b3 inter, b4 ifc1, b5 local1.
+                if p > 0 {
+                    self.local_bus(slots, 0);
+                    self.ifc[0] = Some(self.next_bus(BusKind::InterfaceAccess(component(0))));
+                }
+                self.inter = Some(self.next_bus(BusKind::InterComponent));
+                for c in 1..p {
+                    self.ifc[c] = Some(self.next_bus(BusKind::InterfaceAccess(component(c))));
+                    self.local_bus(slots, c);
+                }
+            }
+        }
+    }
+
+    /// The buses, in naming order (`b1`, `b2`, ...).
+    pub fn buses(&self) -> &[BusPlan] {
+        &self.buses
+    }
+
+    /// The buses, in naming order, by value.
+    pub fn into_buses(self) -> Vec<BusPlan> {
+        self.buses
+    }
+
+    /// `(home, global)` per memory module, in module order: by
+    /// component, locals before globals.
+    pub fn memories(&self) -> &[(ComponentId, bool)] {
+        &self.memories
+    }
+
+    /// The index into [`BusAssignment::memories`] of the module holding
+    /// `var`.
+    pub fn memory_of(&self, var: VarId) -> Option<usize> {
+        self.var_memory.get(var.index()).copied().flatten()
+    }
+
+    /// The bus chain an access travels when a behavior on `accessor`
+    /// touches `var`; empty when `var` has no memory or `accessor` is
+    /// outside the allocation.
+    pub fn chain(&self, accessor: ComponentId, var: VarId) -> BusChain {
+        self.memory_of(var)
+            .and_then(|mem| self.route(accessor.index(), mem))
+            .unwrap_or_default()
+    }
+
+    fn route(&self, accessor: usize, mem: usize) -> Option<BusChain> {
+        let (home, global) = self.memories[mem];
+        let local = || self.local[home.index()].map(BusChain::one);
+        match self.model {
+            ImplModel::Model1 => self.shared_global.map(BusChain::one),
+            ImplModel::Model2 if global => self.shared_global.map(BusChain::one),
+            ImplModel::Model3 if global => {
+                if accessor >= self.local.len() {
+                    return None;
+                }
+                self.gmem[mem * self.local.len() + accessor].map(BusChain::one)
+            }
+            ImplModel::Model2 | ImplModel::Model3 => local(),
+            ImplModel::Model4 if accessor == home.index() => local(),
+            ImplModel::Model4 => Some(BusChain {
+                hops: [
+                    (*self.ifc.get(accessor)?)?,
+                    self.inter?,
+                    self.local[home.index()]?,
+                ],
+                len: 3,
+            }),
+        }
+    }
+
+    /// The buses the ports of memory module `mem` serve: one per
+    /// component for Model3's global memories, else the home
+    /// component's own route to it.
+    pub fn memory_ports(&self, mem: usize) -> Vec<usize> {
+        let (home, global) = self.memories[mem];
+        if self.model == ImplModel::Model3 && global {
+            (0..self.local.len())
+                .filter_map(|accessor| self.route(accessor, mem))
+                .map(|chain| chain.hops[0])
+                .collect()
+        } else {
+            self.route(home.index(), mem)
+                .map_or_else(Vec::new, |chain| chain.as_slice().to_vec())
+        }
+    }
+
+    /// The name of bus `bus`.
+    pub fn name(&self, bus: usize) -> &str {
+        &self.buses[bus].name
+    }
+
+    /// The per-component local bus, if planned.
+    pub fn local_bus_of(&self, cid: ComponentId) -> Option<usize> {
+        self.local.get(cid.index()).copied().flatten()
+    }
+
+    /// Model4's interface-access bus for a component.
+    pub fn ifc_bus_of(&self, cid: ComponentId) -> Option<usize> {
+        self.ifc.get(cid.index()).copied().flatten()
+    }
+
+    /// Model4's inter-component bus, if planned.
+    pub fn inter_bus(&self) -> Option<usize> {
+        self.inter
+    }
+}
+
+/// The component at position `index` of an allocation.
+fn component(index: usize) -> ComponentId {
+    ComponentId::from_raw(index as u32)
+}
+
 /// The complete analysis result. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefinePlan {
@@ -57,20 +405,13 @@ pub struct RefinePlan {
     pub model: ImplModel,
     /// Global address map over all memory-resident variables.
     pub addr: AddressMap,
-    /// Planned memory modules.
+    /// Planned memory modules, in [`BusAssignment::memories`] order.
     pub memories: Vec<MemoryPlan>,
-    /// Planned buses, in naming order.
-    pub buses: Vec<BusPlan>,
     /// Data-line width shared by all buses (widest single access).
     pub data_bits: u32,
     /// Address-line width shared by all buses.
     pub addr_bits: u32,
-    var_memory: HashMap<VarId, usize>,
-    local_bus: HashMap<ComponentId, String>,
-    shared_global_bus: Option<String>,
-    gmem_bus: HashMap<(ComponentId, usize), String>,
-    ifc_bus: HashMap<ComponentId, String>,
-    inter_bus: Option<String>,
+    assignment: BusAssignment,
 }
 
 impl RefinePlan {
@@ -88,53 +429,32 @@ impl RefinePlan {
         partition: &Partition,
         model: ImplModel,
     ) -> Result<Self, RefineError> {
-        if allocation.is_empty() {
-            return Err(RefineError::EmptyAllocation);
-        }
-        for leaf in spec.leaves() {
-            if partition.component_of_behavior(spec, leaf).is_none() {
-                return Err(RefineError::UnassignedBehavior(leaf));
-            }
-        }
+        let placement = Placement::new(spec, graph, allocation, partition)?;
+        let assignment = BusAssignment::new(model, allocation, placement.homes());
 
-        // Group variables by (home component, memory class).
-        let mut groups: HashMap<(ComponentId, bool), Vec<VarId>> = HashMap::new();
+        let mut memories: Vec<MemoryPlan> = assignment
+            .memories()
+            .iter()
+            .enumerate()
+            .map(|(i, &(home, global))| MemoryPlan {
+                name: if global {
+                    format!("Gmem_p{}", home.index())
+                } else {
+                    format!("Lmem_p{}", home.index())
+                },
+                home,
+                global,
+                vars: Vec::new(),
+                port_buses: assignment
+                    .memory_ports(i)
+                    .into_iter()
+                    .map(|b| assignment.name(b).to_string())
+                    .collect(),
+            })
+            .collect();
         for (v, _) in spec.variables() {
-            let home = partition
-                .component_of_var(spec, v)
-                .ok_or(RefineError::UnassignedVar(v))?;
-            let class = partition.classify_var(spec, graph, v);
-            let global_mem = match model {
-                ImplModel::Model1 => true,
-                ImplModel::Model2 | ImplModel::Model3 => class == VarClass::Global,
-                ImplModel::Model4 => false,
-            };
-            groups.entry((home, global_mem)).or_default().push(v);
-        }
-
-        // Memory modules in deterministic order: by component, locals
-        // before globals.
-        let mut memories = Vec::new();
-        let mut var_memory = HashMap::new();
-        for (cid, _) in allocation.iter() {
-            for &global in &[false, true] {
-                if let Some(vars) = groups.remove(&(cid, global)) {
-                    let name = if global {
-                        format!("Gmem_p{}", cid.index())
-                    } else {
-                        format!("Lmem_p{}", cid.index())
-                    };
-                    for &v in &vars {
-                        var_memory.insert(v, memories.len());
-                    }
-                    memories.push(MemoryPlan {
-                        name,
-                        home: cid,
-                        global,
-                        vars,
-                        port_buses: Vec::new(),
-                    });
-                }
+            if let Some(m) = assignment.memory_of(v) {
+                memories[m].vars.push(v);
             }
         }
 
@@ -145,232 +465,64 @@ impl RefinePlan {
                 addr.assign(spec, v);
             }
         }
-
-        // Buses in the paper's canonical per-model order.
-        let mut plan = Self {
+        let addr_bits = addr.addr_bits();
+        Ok(Self {
             model,
             addr,
             memories,
-            buses: Vec::new(),
             data_bits: spec
                 .variables()
                 .map(|(_, v)| v.ty().access_width())
                 .max()
                 .unwrap_or(8)
                 .max(1),
-            addr_bits: 0,
-            var_memory,
-            local_bus: HashMap::new(),
-            shared_global_bus: None,
-            gmem_bus: HashMap::new(),
-            ifc_bus: HashMap::new(),
-            inter_bus: None,
-        };
-        plan.addr_bits = plan.addr.addr_bits();
-        plan.plan_buses(allocation);
-        plan.attach_memory_ports(allocation);
-        Ok(plan)
+            addr_bits,
+            assignment,
+        })
     }
 
-    fn next_bus(&mut self, kind: BusKind) -> String {
-        let name = format!("b{}", self.buses.len() + 1);
-        self.buses.push(BusPlan {
-            name: name.clone(),
-            kind,
-        });
-        name
-    }
-
-    fn has_local_memory(&self, cid: ComponentId) -> bool {
-        self.memories.iter().any(|m| m.home == cid && !m.global)
-    }
-
-    fn plan_buses(&mut self, allocation: &Allocation) {
-        let components = allocation.ids();
-        match self.model {
-            ImplModel::Model1 => {
-                let b = self.next_bus(BusKind::Global);
-                self.shared_global_bus = Some(b);
-            }
-            ImplModel::Model2 => {
-                // Paper order (Figure 3(b), p = 2): b1 local0, b2 global,
-                // b3 local1 — first local bus, shared global bus, then the
-                // remaining local buses.
-                if let Some(&first) = components.first() {
-                    if self.has_local_memory(first) {
-                        let b = self.next_bus(BusKind::Local(first));
-                        self.local_bus.insert(first, b);
-                    }
-                }
-                if self.memories.iter().any(|m| m.global) {
-                    let b = self.next_bus(BusKind::Global);
-                    self.shared_global_bus = Some(b);
-                }
-                for &cid in components.iter().skip(1) {
-                    if self.has_local_memory(cid) {
-                        let b = self.next_bus(BusKind::Local(cid));
-                        self.local_bus.insert(cid, b);
-                    }
-                }
-            }
-            ImplModel::Model3 => {
-                // Paper order (Figure 3(c), p = 2): b1 local0, b2..b5 the
-                // dedicated component->global-memory buses, b6 local1.
-                if let Some(&first) = components.first() {
-                    if self.has_local_memory(first) {
-                        let b = self.next_bus(BusKind::Local(first));
-                        self.local_bus.insert(first, b);
-                    }
-                }
-                let gmem_indices: Vec<usize> = self
-                    .memories
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| m.global)
-                    .map(|(i, _)| i)
-                    .collect();
-                for mem_idx in gmem_indices {
-                    for &accessor in &components {
-                        let b = self.next_bus(BusKind::Global);
-                        self.gmem_bus.insert((accessor, mem_idx), b);
-                    }
-                }
-                for &cid in components.iter().skip(1) {
-                    if self.has_local_memory(cid) {
-                        let b = self.next_bus(BusKind::Local(cid));
-                        self.local_bus.insert(cid, b);
-                    }
-                }
-            }
-            ImplModel::Model4 => {
-                // Paper order (Figure 3(d), p = 2): b1 local0, b2 ifc0,
-                // b3 inter, b4 ifc1, b5 local1.
-                if let Some(&first) = components.first() {
-                    if self.has_local_memory(first) {
-                        let b = self.next_bus(BusKind::Local(first));
-                        self.local_bus.insert(first, b);
-                    }
-                    let b = self.next_bus(BusKind::InterfaceAccess(first));
-                    self.ifc_bus.insert(first, b);
-                }
-                let b = self.next_bus(BusKind::InterComponent);
-                self.inter_bus = Some(b);
-                for &cid in components.iter().skip(1) {
-                    let b = self.next_bus(BusKind::InterfaceAccess(cid));
-                    self.ifc_bus.insert(cid, b);
-                    if self.has_local_memory(cid) {
-                        let b = self.next_bus(BusKind::Local(cid));
-                        self.local_bus.insert(cid, b);
-                    }
-                }
-            }
-        }
-    }
-
-    fn attach_memory_ports(&mut self, allocation: &Allocation) {
-        let components = allocation.ids();
-        for idx in 0..self.memories.len() {
-            let (home, global) = (self.memories[idx].home, self.memories[idx].global);
-            let ports: Vec<String> = match self.model {
-                ImplModel::Model1 => vec![self
-                    .shared_global_bus
-                    .clone()
-                    .expect("Model1 plans a global bus")],
-                ImplModel::Model2 => {
-                    if global {
-                        vec![self
-                            .shared_global_bus
-                            .clone()
-                            .expect("Model2 with globals plans a global bus")]
-                    } else {
-                        vec![self.local_bus[&home].clone()]
-                    }
-                }
-                ImplModel::Model3 => {
-                    if global {
-                        components
-                            .iter()
-                            .map(|&c| self.gmem_bus[&(c, idx)].clone())
-                            .collect()
-                    } else {
-                        vec![self.local_bus[&home].clone()]
-                    }
-                }
-                ImplModel::Model4 => vec![self.local_bus[&home].clone()],
-            };
-            self.memories[idx].port_buses = ports;
-        }
+    /// The planned buses, in naming order.
+    pub fn buses(&self) -> &[BusPlan] {
+        self.assignment.buses()
     }
 
     /// The memory module holding `var`.
     pub fn memory_of(&self, var: VarId) -> Option<&MemoryPlan> {
-        self.var_memory.get(&var).map(|&i| &self.memories[i])
+        self.assignment.memory_of(var).map(|i| &self.memories[i])
     }
 
     /// The index into [`RefinePlan::memories`] of the module holding `var`.
     pub fn memory_index_of(&self, var: VarId) -> Option<usize> {
-        self.var_memory.get(&var).copied()
+        self.assignment.memory_of(var)
     }
 
     /// The per-component local bus, if planned.
     pub fn local_bus_of(&self, cid: ComponentId) -> Option<&str> {
-        self.local_bus.get(&cid).map(String::as_str)
+        let a = &self.assignment;
+        a.local_bus_of(cid).map(|b| a.name(b))
     }
 
     /// Model4's inter-component bus, if planned.
     pub fn inter_bus_name(&self) -> Option<&str> {
-        self.inter_bus.as_deref()
+        let a = &self.assignment;
+        a.inter_bus().map(|b| a.name(b))
     }
 
     /// Model4's interface-access bus for a component.
     pub fn ifc_bus_of(&self, cid: ComponentId) -> Option<&str> {
-        self.ifc_bus.get(&cid).map(String::as_str)
+        let a = &self.assignment;
+        a.ifc_bus_of(cid).map(|b| a.name(b))
     }
 
-    /// The bus chain an access travels when a behavior on `accessor`
-    /// touches `var`: one bus for shared-memory models, and
-    /// `[interface-access, inter-component, remote local]` for Model4
-    /// remote accesses. The first element is the bus the *master behavior*
-    /// itself drives.
+    /// The names of the buses an access travels when a behavior on
+    /// `accessor` touches `var` — [`BusAssignment::chain`] by name.
     pub fn access_buses(&self, accessor: ComponentId, var: VarId) -> Vec<String> {
-        let Some(&mem_idx) = self.var_memory.get(&var) else {
-            return Vec::new();
-        };
-        let mem = &self.memories[mem_idx];
-        match self.model {
-            ImplModel::Model1 => vec![self
-                .shared_global_bus
-                .clone()
-                .expect("Model1 plans a global bus")],
-            ImplModel::Model2 => {
-                if mem.global {
-                    vec![self
-                        .shared_global_bus
-                        .clone()
-                        .expect("Model2 with globals plans a global bus")]
-                } else {
-                    vec![self.local_bus[&mem.home].clone()]
-                }
-            }
-            ImplModel::Model3 => {
-                if mem.global {
-                    vec![self.gmem_bus[&(accessor, mem_idx)].clone()]
-                } else {
-                    vec![self.local_bus[&mem.home].clone()]
-                }
-            }
-            ImplModel::Model4 => {
-                if accessor == mem.home {
-                    vec![self.local_bus[&mem.home].clone()]
-                } else {
-                    vec![
-                        self.ifc_bus[&accessor].clone(),
-                        self.inter_bus.clone().expect("Model4 plans an inter bus"),
-                        self.local_bus[&mem.home].clone(),
-                    ]
-                }
-            }
-        }
+        let a = &self.assignment;
+        a.chain(accessor, var)
+            .as_slice()
+            .iter()
+            .map(|&b| a.name(b).to_string())
+            .collect()
     }
 
     /// Maps every data channel of the access graph to the buses carrying
@@ -442,7 +594,7 @@ mod tests {
     fn model1_maps_everything_to_global_memories_on_one_bus() {
         let (spec, graph, alloc, part) = fixture();
         let plan = RefinePlan::build(&spec, &graph, &alloc, &part, ImplModel::Model1).unwrap();
-        assert_eq!(plan.buses.len(), 1);
+        assert_eq!(plan.buses().len(), 1);
         assert!(plan.memories.iter().all(|m| m.global));
         assert_eq!(plan.memories.len(), 2); // Gmem_p0 {x,g}, Gmem_p1 {y}
         let (proc, _) = proc_asic(&alloc);
@@ -458,14 +610,14 @@ mod tests {
         assert_eq!(plan.memories.len(), 3);
         // Buses: b1 local0, b2 global, b3 local1 — paper order.
         assert_eq!(
-            plan.buses
+            plan.buses()
                 .iter()
                 .map(|b| b.name.as_str())
                 .collect::<Vec<_>>(),
             vec!["b1", "b2", "b3"]
         );
-        assert!(matches!(plan.buses[0].kind, BusKind::Local(_)));
-        assert!(matches!(plan.buses[1].kind, BusKind::Global));
+        assert!(matches!(plan.buses()[0].kind, BusKind::Local(_)));
+        assert!(matches!(plan.buses()[1].kind, BusKind::Global));
         let (proc, asic) = proc_asic(&alloc);
         let g = spec.variable_by_name("g").unwrap();
         let y = spec.variable_by_name("y").unwrap();
@@ -479,7 +631,7 @@ mod tests {
         let (spec, graph, alloc, part) = fixture();
         let plan = RefinePlan::build(&spec, &graph, &alloc, &part, ImplModel::Model3).unwrap();
         // One Gmem (on PROC) with 2 ports -> 2 dedicated buses + 2 locals.
-        assert_eq!(plan.buses.len(), 4);
+        assert_eq!(plan.buses().len(), 4);
         let (proc, asic) = proc_asic(&alloc);
         let g = spec.variable_by_name("g").unwrap();
         let from_proc = plan.access_buses(proc, g);
@@ -494,7 +646,7 @@ mod tests {
         let (spec, graph, alloc, part) = fixture();
         let plan = RefinePlan::build(&spec, &graph, &alloc, &part, ImplModel::Model4).unwrap();
         // Buses: b1 local0, b2 ifc0, b3 inter, b4 ifc1, b5 local1.
-        assert_eq!(plan.buses.len(), 5);
+        assert_eq!(plan.buses().len(), 5);
         let (proc, asic) = proc_asic(&alloc);
         let g = spec.variable_by_name("g").unwrap();
         // g homed on PROC: local access from PROC is one bus...
@@ -540,9 +692,9 @@ mod tests {
         for model in ImplModel::ALL {
             let plan = RefinePlan::build(&spec, &graph, &alloc, &part, model).unwrap();
             assert!(
-                plan.buses.len() <= model.max_buses(alloc.len()),
+                plan.buses().len() <= model.max_buses(alloc.len()),
                 "{model}: {} buses",
-                plan.buses.len()
+                plan.buses().len()
             );
         }
     }

@@ -6,16 +6,112 @@
 //! sum over channels mapped to the bus. Model4 remote accesses traverse a
 //! three-bus chain and contribute to every hop (the paper reports those
 //! hops together as `b2=b3=b4`).
+//!
+//! A channel's rate depends only on the partition, not on the model, so
+//! the work splits in two:
+//!
+//! * `CandidateRates` holds one candidate partition's model-independent
+//!   facts: its [`Placement`] (each variable's home and local/global
+//!   class) and each data channel's accessor component, variable and
+//!   rate. Rates come from a `ChannelRates`, whose one memoized
+//!   [`LifetimeTable`] can serve a whole exploration.
+//! * `CandidateRates::table` derives one model's table from those
+//!   facts in a single mapping pass through the model's
+//!   [`BusAssignment`] — the same bus naming refinement uses.
+//!
+//! [`figure9_rates`] runs both steps for one model, [`figure9_row`] for
+//! all four; exploration builds the facts once per candidate and maps
+//! all four models, with one lifetime table for every candidate.
 
-use modref_estimate::rates::channel_rate;
-use modref_estimate::{BusRateTable, LifetimeConfig, TimingModel};
-use modref_graph::AccessGraph;
-use modref_partition::{Allocation, Partition};
-use modref_spec::Spec;
+use modref_estimate::rates::channel_rate_memo;
+use modref_estimate::{BusRateTable, LifetimeConfig, LifetimeTable, TimingModel};
+use modref_graph::{AccessGraph, Channel};
+use modref_partition::{Allocation, ComponentId, Partition};
+use modref_spec::{Spec, VarId};
 
 use crate::error::RefineError;
 use crate::model::ImplModel;
-use crate::plan::RefinePlan;
+use crate::plan::{BusAssignment, Placement};
+
+/// Data-channel transfer rates under each allocated component's timing
+/// model, with behavior lifetimes memoized in one [`LifetimeTable`].
+pub(crate) struct ChannelRates<'s> {
+    spec: &'s Spec,
+    timing: Vec<TimingModel>,
+    lifetimes: LifetimeTable,
+}
+
+impl<'s> ChannelRates<'s> {
+    pub(crate) fn new(spec: &'s Spec, allocation: &Allocation, config: &LifetimeConfig) -> Self {
+        Self {
+            spec,
+            timing: allocation.iter().map(|(_, c)| c.timing_model()).collect(),
+            lifetimes: LifetimeTable::new(*config),
+        }
+    }
+
+    /// The rate of `channel` when its behavior runs on `component`.
+    fn rate(&mut self, channel: &Channel, component: ComponentId) -> f64 {
+        let model = &self.timing[component.index()];
+        channel_rate_memo(self.spec, channel, model, &mut self.lifetimes)
+    }
+}
+
+/// One candidate partition's model-independent Figure 9 facts. See the
+/// [module docs](self).
+pub(crate) struct CandidateRates {
+    placement: Placement,
+    /// `(accessor, variable, rate)` per data channel whose behavior has
+    /// a component, in [`AccessGraph::data_channels`] order.
+    channels: Vec<(ComponentId, VarId, f64)>,
+}
+
+impl CandidateRates {
+    /// Computes the facts of `partition`.
+    ///
+    /// # Errors
+    ///
+    /// The planning errors of [`Placement::new`].
+    pub(crate) fn new(
+        graph: &AccessGraph,
+        allocation: &Allocation,
+        partition: &Partition,
+        rates: &mut ChannelRates<'_>,
+    ) -> Result<Self, RefineError> {
+        let placement = Placement::new(rates.spec, graph, allocation, partition)?;
+        let channels = graph
+            .data_channels()
+            .zip(placement.accessors())
+            .filter_map(|(ch, &accessor)| {
+                let accessor = accessor?;
+                Some((accessor, ch.var()?, rates.rate(ch, accessor)))
+            })
+            .collect();
+        Ok(Self {
+            placement,
+            channels,
+        })
+    }
+
+    /// The bus-rate table of `model`. Every bus the model plans appears,
+    /// including buses with zero traffic; each bus sums its channels in
+    /// [`AccessGraph::data_channels`] order.
+    pub(crate) fn table(&self, allocation: &Allocation, model: ImplModel) -> BusRateTable {
+        let assignment = BusAssignment::new(model, allocation, self.placement.homes());
+        let mut sums = vec![0.0; assignment.buses().len()];
+        for &(accessor, var, rate) in &self.channels {
+            for &bus in assignment.chain(accessor, var).as_slice() {
+                sums[bus] += rate;
+            }
+        }
+        assignment
+            .into_buses()
+            .into_iter()
+            .zip(sums)
+            .map(|(bus, sum)| (bus.name, sum))
+            .collect()
+    }
+}
 
 /// Computes the per-bus transfer-rate table for one implementation model
 /// — one cell group of Figure 9.
@@ -59,30 +155,28 @@ pub fn figure9_rates(
     model: ImplModel,
     config: &LifetimeConfig,
 ) -> Result<BusRateTable, RefineError> {
-    let plan = RefinePlan::build(spec, graph, allocation, partition, model)?;
-    let channel_buses = plan.channel_buses(spec, graph, partition);
+    let mut rates = ChannelRates::new(spec, allocation, config);
+    Ok(CandidateRates::new(graph, allocation, partition, &mut rates)?.table(allocation, model))
+}
 
-    let model_of = |b: modref_spec::BehaviorId| -> TimingModel {
-        partition
-            .component_of_behavior(spec, b)
-            .map(|c| allocation.component(c).timing_model())
-            .unwrap_or_default()
-    };
-
-    let mut table = BusRateTable::new();
-    for bus in &plan.buses {
-        table.touch(bus.name.clone());
-    }
-    for ch in graph.data_channels() {
-        let Some(buses) = channel_buses.get(&ch.id()) else {
-            continue;
-        };
-        let rate = channel_rate(spec, ch, &model_of, config);
-        for bus in buses {
-            table.add(bus.clone(), rate);
-        }
-    }
-    Ok(table)
+/// One row of Figure 9: the tables of Models 1–4 for one partition, in
+/// [`ImplModel::ALL`] order. Computes the partition's facts once and maps
+/// each model from them, so it costs little more than one
+/// [`figure9_rates`] call.
+///
+/// # Errors
+///
+/// Propagates planning errors (empty allocation, unassigned objects).
+pub fn figure9_row(
+    spec: &Spec,
+    graph: &AccessGraph,
+    allocation: &Allocation,
+    partition: &Partition,
+    config: &LifetimeConfig,
+) -> Result<[BusRateTable; 4], RefineError> {
+    let mut rates = ChannelRates::new(spec, allocation, config);
+    let facts = CandidateRates::new(graph, allocation, partition, &mut rates)?;
+    Ok(ImplModel::ALL.map(|model| facts.table(allocation, model)))
 }
 
 #[cfg(test)]
@@ -165,7 +259,8 @@ mod tests {
         let t3 = figure9_rates(&spec, &graph, &alloc, &part, ImplModel::Model3, &cfg).unwrap();
         // All planned buses appear even if a component never touches a
         // particular global memory.
-        let plan = RefinePlan::build(&spec, &graph, &alloc, &part, ImplModel::Model3).unwrap();
-        assert_eq!(t3.bus_count(), plan.buses.len());
+        let plan =
+            crate::RefinePlan::build(&spec, &graph, &alloc, &part, ImplModel::Model3).unwrap();
+        assert_eq!(t3.bus_count(), plan.buses().len());
     }
 }

@@ -298,7 +298,7 @@ impl<'a> Builder<'a> {
 
     fn create_bus_wires(&mut self) {
         let (addr_bits, data_bits) = (self.plan.addr_bits, self.plan.data_bits);
-        for bus in self.plan.buses.clone() {
+        for bus in self.plan.buses().to_vec() {
             let wires = BusWires::create(&mut self.out, &bus.name, addr_bits, data_bits);
             self.wires.insert(bus.name, wires);
         }
@@ -401,7 +401,7 @@ impl<'a> Builder<'a> {
 
     fn create_protocols_and_arbiters(&mut self) {
         let (addr_bits, data_bits) = (self.plan.addr_bits, self.plan.data_bits);
-        for bus in self.plan.buses.clone() {
+        for bus in self.plan.buses().to_vec() {
             let masters: Vec<MasterCtx> = self
                 .contexts
                 .iter()
@@ -910,7 +910,7 @@ impl<'a> Builder<'a> {
     }
 
     fn populate_architecture(&mut self) {
-        for bus in &self.plan.buses {
+        for bus in self.plan.buses() {
             let masters: Vec<String> = self
                 .contexts
                 .iter()

@@ -325,16 +325,22 @@ impl<'w> Conn<'w> {
         }
     }
 
-    /// Writes one response/frame line. The first write failure marks
-    /// the connection dead and cancels its in-flight work — a client
-    /// that cannot receive answers should not keep burning the pool.
+    /// Writes one response/frame line, newline included, in a single
+    /// write: a line split over two TCP segments would leave its newline
+    /// waiting on the client's delayed acknowledgement. The first write
+    /// failure marks the connection dead and cancels its in-flight work
+    /// — a client that cannot receive answers should not keep burning
+    /// the pool.
     fn send(&self, core: &Core<'_>, line: &str) {
         if !self.alive.load(Ordering::Relaxed) {
             return;
         }
+        let mut buf = String::with_capacity(line.len() + 1);
+        buf.push_str(line);
+        buf.push('\n');
         let failed = {
             let mut w = lock(&self.writer);
-            writeln!(w, "{line}").is_err() || w.flush().is_err()
+            w.write_all(buf.as_bytes()).is_err() || w.flush().is_err()
         };
         if failed && self.alive.swap(false, Ordering::SeqCst) {
             core.cancel_conn(self.id);
@@ -451,6 +457,9 @@ pub fn serve_listener(listener: TcpListener, cfg: &ServeConfig) -> std::io::Resu
             };
             accepted += 1;
             modref_obs::counter("serve.connections").inc();
+            // Replies are whole lines written at once; Nagle would only
+            // hold each one back until the client's next acknowledgement.
+            let _ = stream.set_nodelay(true);
             let conn_id = accepted as u64;
             let tx = tx.clone();
             readers.push(s.spawn(move || {
@@ -1053,6 +1062,87 @@ mod tests {
         assert!(matches!(resp.body, ResponseBody::Parsed(_)));
         let stats = server.join().expect("join");
         assert_eq!(stats.completed, 1);
+    }
+
+    #[test]
+    fn every_line_leaves_in_one_write() {
+        /// Records the bytes of every `write` call.
+        struct Writes(Arc<Mutex<Vec<Vec<u8>>>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                lock(&self.0).push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let explore = Request::v2(
+            3,
+            RequestOp::Explore {
+                source: SpecSource::Workload("fig2".into()),
+                part: None,
+                seeds: Some(1),
+                threads: Some(1),
+                top: Some(2),
+            },
+        )
+        .with_stream(true)
+        .to_json_line();
+        let input = format!(
+            "{}{{not json\n{explore}\n",
+            line(1, r#""op":"parse","workload":"fig2""#)
+        );
+        let writes = Arc::new(Mutex::new(Vec::new()));
+        let stats = serve(
+            Cursor::new(input.into_bytes()),
+            Writes(Arc::clone(&writes)),
+            &cfg().workers(1),
+        );
+        assert_eq!(stats.completed, 2);
+        let writes = lock(&writes);
+        // A parse response, a malformed-line error, progress frames and
+        // the explore response: each its own write, each one whole line.
+        assert!(writes.len() > 3, "{} writes", writes.len());
+        for w in writes.iter() {
+            let text = std::str::from_utf8(w).expect("utf8");
+            assert!(text.ends_with('\n'), "split line: {text:?}");
+            assert_eq!(text.matches('\n').count(), 1, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn closed_loop_tcp_requests_do_not_wait_on_delayed_acks() {
+        use std::io::{BufRead as _, Write as _};
+        use std::net::TcpStream;
+        const REQUESTS: u64 = 20;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = thread::spawn(move || {
+            serve_listener(listener, &cfg().workers(1).max_connections(1)).expect("serve")
+        });
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let start = Instant::now();
+        for id in 1..=REQUESTS {
+            stream
+                .write_all(line(id, r#""op":"parse","workload":"fig2""#).as_bytes())
+                .expect("send");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("read reply");
+            assert_eq!(Response::from_json(reply.trim()).expect("decodes").id, id);
+        }
+        let took = start.elapsed();
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        assert_eq!(server.join().expect("join").completed, REQUESTS);
+        // A reply held back for a delayed acknowledgement costs about
+        // 40 ms; twenty of them would take 800 ms.
+        assert!(
+            took < Duration::from_millis(REQUESTS * 40 / 2),
+            "{REQUESTS} closed-loop requests took {took:?}"
+        );
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! same loop/branch weighting as access counting, and — for composites —
 //! summing the lifetimes of children along the sequential schedule.
 
-use std::collections::HashMap;
-
-use modref_spec::stmt::CallArg;
-use modref_spec::{BehaviorId, BehaviorKind, Spec, Stmt, WaitCond};
+use modref_spec::stmt::{CallArg, LValue};
+use modref_spec::{BehaviorId, BehaviorKind, Expr, Spec, Stmt, WaitCond};
 
 use crate::latency::TimingModel;
 
@@ -49,17 +47,25 @@ pub fn behavior_lifetime(
     model: &TimingModel,
     config: &LifetimeConfig,
 ) -> f64 {
-    let b = spec.behavior(behavior);
-    match b.kind() {
+    lifetime_over(spec, behavior, model, config, &mut |c| {
+        behavior_lifetime(spec, c, model, config)
+    })
+}
+
+/// [`behavior_lifetime`] with each child's lifetime taken from `child`.
+fn lifetime_over(
+    spec: &Spec,
+    behavior: BehaviorId,
+    model: &TimingModel,
+    config: &LifetimeConfig,
+    child: &mut dyn FnMut(BehaviorId) -> f64,
+) -> f64 {
+    match spec.behavior(behavior).kind() {
         BehaviorKind::Leaf { body } => stmts_cost(spec, body, model, config),
-        BehaviorKind::Seq { children, .. } => children
-            .iter()
-            .map(|&c| behavior_lifetime(spec, c, model, config))
-            .sum(),
-        BehaviorKind::Concurrent { children } => children
-            .iter()
-            .map(|&c| behavior_lifetime(spec, c, model, config))
-            .fold(0.0, f64::max),
+        BehaviorKind::Seq { children, .. } => children.iter().map(|&c| child(c)).sum(),
+        BehaviorKind::Concurrent { children } => {
+            children.iter().map(|&c| child(c)).fold(0.0, f64::max)
+        }
     }
 }
 
@@ -67,9 +73,10 @@ pub fn behavior_lifetime(
 ///
 /// Partitioning algorithms evaluate the same `(behavior, timing model)`
 /// lifetimes thousands of times while exploring moves; this table computes
-/// each pair once and serves the cached value afterwards. Keys combine the
-/// behavior id with [`TimingModel::fingerprint`], so distinct models (and
-/// user-tweaked variants) are cached independently.
+/// each pair once and serves the cached value afterwards. Models are told
+/// apart by [`TimingModel::fingerprint`], so distinct models (and
+/// user-tweaked variants) are cached independently; within a model,
+/// lifetimes are indexed by behavior id, so a lookup hashes nothing.
 ///
 /// # Example
 ///
@@ -93,7 +100,9 @@ pub fn behavior_lifetime(
 #[derive(Debug, Clone)]
 pub struct LifetimeTable {
     config: LifetimeConfig,
-    cache: HashMap<(BehaviorId, u64), f64>,
+    /// Per model fingerprint, the lifetimes by [`BehaviorId::index`].
+    models: Vec<(u64, Vec<Option<f64>>)>,
+    len: usize,
 }
 
 impl LifetimeTable {
@@ -101,7 +110,8 @@ impl LifetimeTable {
     pub fn new(config: LifetimeConfig) -> Self {
         Self {
             config,
-            cache: HashMap::new(),
+            models: Vec::new(),
+            len: 0,
         }
     }
 
@@ -114,26 +124,47 @@ impl LifetimeTable {
     /// served from the cache afterwards. Identical to calling
     /// [`behavior_lifetime`] with the table's config.
     pub fn get(&mut self, spec: &Spec, behavior: BehaviorId, model: &TimingModel) -> f64 {
+        let fingerprint = model.fingerprint();
+        let m = match self.models.iter().position(|(f, _)| *f == fingerprint) {
+            Some(m) => m,
+            None => {
+                self.models.push((fingerprint, Vec::new()));
+                self.models.len() - 1
+            }
+        };
+        self.get_in(spec, behavior, model, m)
+    }
+
+    /// [`LifetimeTable::get`] for the model at `m`; a composite's
+    /// children are looked up (and memoized) in turn.
+    fn get_in(&mut self, spec: &Spec, behavior: BehaviorId, model: &TimingModel, m: usize) -> f64 {
         let (hit, miss) = hit_miss_counters();
-        let key = (behavior, model.fingerprint());
-        if let Some(&v) = self.cache.get(&key) {
+        if let Some(&Some(v)) = self.models[m].1.get(behavior.index()) {
             hit.inc();
             return v;
         }
         miss.inc();
-        let v = behavior_lifetime(spec, behavior, model, &self.config);
-        self.cache.insert(key, v);
+        let config = self.config;
+        let v = lifetime_over(spec, behavior, model, &config, &mut |c| {
+            self.get_in(spec, c, model, m)
+        });
+        let slots = &mut self.models[m].1;
+        if slots.len() <= behavior.index() {
+            slots.resize(spec.behavior_count().max(behavior.index() + 1), None);
+        }
+        slots[behavior.index()] = Some(v);
+        self.len += 1;
         v
     }
 
     /// Number of memoized `(behavior, model)` pairs.
     pub fn len(&self) -> usize {
-        self.cache.len()
+        self.len
     }
 
     /// Whether nothing has been memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
+        self.len == 0
     }
 }
 
@@ -159,11 +190,14 @@ fn stmts_cost(spec: &Spec, stmts: &[Stmt], model: &TimingModel, config: &Lifetim
 fn stmt_cost(spec: &Spec, s: &Stmt, model: &TimingModel, config: &LifetimeConfig) -> f64 {
     match s {
         Stmt::Assign { target, value } => {
-            let loads = (value.reads().len() + target.reads().len()) as u32;
+            let loads = match target {
+                LValue::Index(_, idx) => loads(value) + loads(idx),
+                LValue::Var(_) | LValue::Param(_) => loads(value),
+            };
             model.assign_ns + model.expr_cost(value.op_count(), loads) + extra_op_cost(value, model)
         }
         Stmt::SignalSet { value, .. } => {
-            model.signal_ns + model.expr_cost(value.op_count(), value.reads().len() as u32)
+            model.signal_ns + model.expr_cost(value.op_count(), loads(value))
         }
         Stmt::Wait(WaitCond::Until(_)) => config.wait_until_ns,
         Stmt::Wait(WaitCond::For(n)) => *n as f64,
@@ -173,7 +207,7 @@ fn stmt_cost(spec: &Spec, s: &Stmt, model: &TimingModel, config: &LifetimeConfig
             else_body,
         } => {
             model.branch_ns
-                + model.expr_cost(cond.op_count(), cond.reads().len() as u32)
+                + model.expr_cost(cond.op_count(), loads(cond))
                 + config.branch_factor * stmts_cost(spec, then_body, model, config)
                 + config.branch_factor * stmts_cost(spec, else_body, model, config)
         }
@@ -183,7 +217,7 @@ fn stmt_cost(spec: &Spec, s: &Stmt, model: &TimingModel, config: &LifetimeConfig
             trip_hint,
         } => {
             let trips = f64::from(trip_hint.unwrap_or(config.default_while_trips));
-            let cond_cost = model.expr_cost(cond.op_count(), cond.reads().len() as u32);
+            let cond_cost = model.expr_cost(cond.op_count(), loads(cond));
             (trips + 1.0) * (cond_cost + model.branch_ns)
                 + trips * (stmts_cost(spec, body, model, config) + model.loop_overhead_ns)
         }
@@ -199,23 +233,35 @@ fn stmt_cost(spec: &Spec, s: &Stmt, model: &TimingModel, config: &LifetimeConfig
         }
         Stmt::Loop { body } => stmts_cost(spec, body, model, config),
         Stmt::Call { sub, args } => {
-            let body = spec.subroutine(*sub).body().to_vec();
+            let body = spec.subroutine(*sub).body();
             let arg_cost: f64 = args
                 .iter()
                 .map(|a| match a {
-                    CallArg::In(e) => model.expr_cost(e.op_count(), e.reads().len() as u32),
+                    CallArg::In(e) => model.expr_cost(e.op_count(), loads(e)),
                     CallArg::Out(_) => model.assign_ns,
                 })
                 .sum();
-            model.call_ns + arg_cost + stmts_cost(spec, &body, model, config)
+            model.call_ns + arg_cost + stmts_cost(spec, body, model, config)
         }
         Stmt::Delay(n) => *n as f64,
         Stmt::Skip => 0.0,
     }
 }
 
-fn extra_op_cost(e: &modref_spec::Expr, model: &TimingModel) -> f64 {
-    use modref_spec::{BinOp, Expr};
+/// The variable loads evaluating `e` performs: `e.reads().len()`
+/// without collecting the reads.
+fn loads(e: &Expr) -> u32 {
+    match e {
+        Expr::Lit(_) | Expr::Signal(_) | Expr::Param(_) => 0,
+        Expr::Var(_) => 1,
+        Expr::Index(_, idx) => 1 + loads(idx),
+        Expr::Unary(_, e) => loads(e),
+        Expr::Binary(_, l, r) => loads(l) + loads(r),
+    }
+}
+
+fn extra_op_cost(e: &Expr, model: &TimingModel) -> f64 {
+    use modref_spec::BinOp;
     match e {
         Expr::Binary(op, l, r) => {
             let extra = match op {
@@ -359,6 +405,28 @@ mod tests {
             }
         }
         assert_eq!(table.len(), 6);
+    }
+
+    #[test]
+    fn table_memoizes_a_composite_s_children() {
+        let mut b = SpecBuilder::new("t");
+        let x = b.var_int("x", 16, 0);
+        let a = b.leaf("A", vec![stmt::assign(x, expr::lit(1))]);
+        let c = b.leaf("C", vec![stmt::delay(10)]);
+        let top = b.seq_in_order("Top", vec![a, c]);
+        let spec = b.finish(top).expect("valid");
+        let cfg = LifetimeConfig::default();
+        let model = TimingModel::processor();
+        let mut table = LifetimeTable::new(cfg);
+        let direct = behavior_lifetime(&spec, top, &model, &cfg);
+        assert_eq!(table.get(&spec, top, &model).to_bits(), direct.to_bits());
+        // Top and both children are now memoized.
+        assert_eq!(table.len(), 3);
+        assert_eq!(
+            table.get(&spec, a, &model),
+            behavior_lifetime(&spec, a, &model, &cfg)
+        );
+        assert_eq!(table.len(), 3);
     }
 
     #[test]

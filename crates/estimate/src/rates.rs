@@ -13,7 +13,7 @@ use modref_graph::{AccessGraph, Channel, ChannelId};
 use modref_spec::{BehaviorId, Spec};
 
 use crate::latency::TimingModel;
-use crate::lifetime::{behavior_lifetime, LifetimeConfig};
+use crate::lifetime::{behavior_lifetime, LifetimeConfig, LifetimeTable};
 
 /// Conversion factor: a rate of 1 bit/ns equals 1000 Mbit/s.
 pub const MBITS_PER_BIT_PER_NS: f64 = 1000.0;
@@ -32,6 +32,26 @@ pub fn channel_rate(
     model_of: &impl Fn(BehaviorId) -> TimingModel,
     config: &LifetimeConfig,
 ) -> f64 {
+    rate_over(channel, |b| {
+        behavior_lifetime(spec, b, &model_of(b), config)
+    })
+}
+
+/// [`channel_rate`] with the channel's behavior running under `model`
+/// and its lifetime served from `lifetimes` — the same value, computed
+/// once per `(behavior, model)` however many channels share it.
+pub fn channel_rate_memo(
+    spec: &Spec,
+    channel: &Channel,
+    model: &TimingModel,
+    lifetimes: &mut LifetimeTable,
+) -> f64 {
+    rate_over(channel, |b| lifetimes.get(spec, b, model))
+}
+
+/// `bits_per_activation / lifetime` in Mbit/s, asking for the lifetime
+/// only when the channel has a behavior and carries bits.
+fn rate_over(channel: &Channel, lifetime_of: impl FnOnce(BehaviorId) -> f64) -> f64 {
     let Some(behavior) = channel.behavior() else {
         return 0.0;
     };
@@ -39,8 +59,7 @@ pub fn channel_rate(
     if bits == 0.0 {
         return 0.0;
     }
-    let lifetime = behavior_lifetime(spec, behavior, &model_of(behavior), config).max(1.0);
-    bits / lifetime * MBITS_PER_BIT_PER_NS
+    bits / lifetime_of(behavior).max(1.0) * MBITS_PER_BIT_PER_NS
 }
 
 /// Per-bus transfer rates: bus name → Mbit/s.
@@ -196,6 +215,22 @@ mod tests {
             .expect("read channel");
         let rate = channel_rate(&spec, read, &model, &cfg);
         assert!((rate - 16.0 / 103.0 * 1000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn memoized_rate_is_bit_identical() {
+        let (spec, graph) = simple_spec();
+        let cfg = LifetimeConfig::default();
+        let mut table = LifetimeTable::new(cfg);
+        for model in [TimingModel::processor(), TimingModel::asic()] {
+            for ch in graph.data_channels() {
+                let plain = channel_rate(&spec, ch, &|_| model.clone(), &cfg);
+                let memo = channel_rate_memo(&spec, ch, &model, &mut table);
+                assert_eq!(plain.to_bits(), memo.to_bits());
+            }
+        }
+        // One lifetime per (behavior, model), shared by both channels.
+        assert_eq!(table.len(), 2);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! one for work handed to other threads) and a start time; drop stamps
 //! the duration and pushes one event onto a **thread-local buffer** —
 //! no lock, no shared write. Buffers spill into a global pending list
-//! when they grow past a threshold and when their thread exits, and the
-//! flush ([`crate::shutdown`]) merges pending + its own thread's buffer
-//! and orders everything by id.
+//! when they grow past a threshold, when a span opened with
+//! [`span_under`] closes as its thread's outermost span, and when their
+//! thread exits; the flush ([`crate::shutdown`]) merges pending + its
+//! own thread's buffer and orders everything by id.
 //!
 //! When the recorder is disabled, [`span`] returns an inert guard: one
 //! relaxed atomic load, no allocation, nothing recorded.
@@ -94,6 +95,9 @@ struct SpanData {
     /// parents skip the stack so cross-thread children don't adopt
     /// unrelated local spans).
     on_stack: bool,
+    /// Whether the parent was given explicitly ([`span_under`]): work
+    /// handed to this thread by another one.
+    handed_off: bool,
 }
 
 /// Opens a span named `name` under the innermost open span of this
@@ -104,7 +108,7 @@ pub fn span(name: &'static str) -> Span {
         return Span { data: None };
     }
     let parent = STACK.with(|s| s.borrow().last().copied().unwrap_or(0));
-    open(name, parent, true)
+    open(name, parent, true, false)
 }
 
 /// Opens a span with an explicit parent id — for work fanned out to
@@ -115,10 +119,10 @@ pub fn span_under(parent: u64, name: &'static str) -> Span {
     if !crate::enabled() {
         return Span { data: None };
     }
-    open(name, parent, true)
+    open(name, parent, true, true)
 }
 
-fn open(name: &'static str, parent: u64, on_stack: bool) -> Span {
+fn open(name: &'static str, parent: u64, on_stack: bool, handed_off: bool) -> Span {
     let id = next_id();
     if on_stack {
         STACK.with(|s| s.borrow_mut().push(id));
@@ -131,6 +135,7 @@ fn open(name: &'static str, parent: u64, on_stack: bool) -> Span {
             start_ns: crate::now_ns(),
             attrs: Vec::new(),
             on_stack,
+            handed_off,
         }),
     }
 }
@@ -165,6 +170,7 @@ impl Drop for Span {
         let Some(d) = self.data.take() else {
             return;
         };
+        let mut outermost = false;
         if d.on_stack {
             STACK.with(|s| {
                 let mut stack = s.borrow_mut();
@@ -175,6 +181,7 @@ impl Drop for Span {
                         break;
                     }
                 }
+                outermost = stack.is_empty();
             });
         }
         // A flush may have happened while the span was open; the event
@@ -193,7 +200,11 @@ impl Drop for Span {
                 dur_ns,
                 attrs: d.attrs,
             });
-            if buf.events.len() >= SPILL_AT {
+            // Handed-off work finishing on its thread spills at once: a
+            // scoped thread counts as joined before its thread-local
+            // buffer drops, so a flush right after the scope could
+            // otherwise miss the work's events.
+            if buf.events.len() >= SPILL_AT || (d.handed_off && outermost) {
                 buf.spill();
             }
         });

@@ -89,13 +89,13 @@ fn plan_invariants() {
         for model in ImplModel::ALL {
             let plan = RefinePlan::build(&synth.spec, &graph, &alloc, &part, model)
                 .unwrap_or_else(|e| panic!("seed {seed} {model}: {e}"));
-            assert!(plan.buses.len() <= model.max_buses(alloc.len()));
+            assert!(plan.buses().len() <= model.max_buses(alloc.len()));
             let map = plan.channel_buses(&synth.spec, &graph, &part);
             assert_eq!(map.len(), graph.data_channels().count());
             for buses in map.values() {
                 assert!(!buses.is_empty());
                 for bus in buses {
-                    assert!(plan.buses.iter().any(|b| &b.name == bus));
+                    assert!(plan.buses().iter().any(|b| &b.name == bus));
                 }
             }
             // Every variable belongs to exactly one memory module.
