@@ -11,9 +11,9 @@
 //! threads — and records everything in `BENCH_explore.json` at the repo
 //! root, including the full/incremental speedup the acceptance criteria
 //! gate on. The rate row times one candidate's Figure 9 tables under all
-//! four models (`figure9_row`) over seeded random partitions; the
-//! 256-behavior synthetic point records move evaluation and rates only,
-//! because the deterministic partitioners take tens of seconds there.
+//! four models (`figure9_row`) over seeded random partitions. Every
+//! point, the 256-behavior synthetic design included, also times
+//! `explore()`.
 
 use std::time::Instant;
 
@@ -297,7 +297,8 @@ fn bench_explore(c: &mut Criterion) {
     group.finish();
 
     // The 256-behavior point, where rate evaluation used to redo
-    // O(spec) work per model.
+    // O(spec) work per model and clustering rescanned every cluster pair
+    // per merge.
     let synth256 = SynthSpec::generate(
         11,
         &SynthConfig {
@@ -329,7 +330,7 @@ fn bench_explore(c: &mut Criterion) {
             &alloc,
             &synth_part,
             200,
-            false,
+            true,
         ),
     ];
     for r in &records {

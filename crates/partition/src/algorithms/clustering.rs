@@ -3,19 +3,25 @@
 //! and Design of Embedded Systems*, ch. 6).
 //!
 //! Leaf behaviors start as singleton clusters; the pair with the highest
-//! *closeness* (shared variable traffic normalized by total traffic)
-//! merges, repeatedly, until the requested number of clusters remains.
-//! Clusters are then assigned to components largest-first onto the least
-//! loaded component, and variables homed with their heaviest cluster.
-
-use std::collections::HashMap;
+//! *closeness* merges, repeatedly, until the requested number of clusters
+//! remains. The closeness of clusters `a` and `b` is
+//! `Σ_v min(T_a(v), T_b(v))`, where `T_c(v)` is the bits per activation
+//! cluster `c`'s leaves move to and from variable `v`: the traffic the
+//! two could exchange through shared variables, not normalized. Ties go
+//! to the first pair in cluster order. Clusters are then assigned to
+//! components largest-first onto the least loaded component, and
+//! variables homed with their heaviest cluster.
+//!
+//! The agglomeration is incremental: one traffic row per cluster and one
+//! closeness matrix, built once; a merge recomputes only the merged
+//! cluster's row and its closeness to every other cluster.
 
 use modref_estimate::LifetimeTable;
 use modref_graph::AccessGraph;
 use modref_spec::{BehaviorId, Spec, VarId};
 
 use crate::assignment::Partition;
-use crate::component::Allocation;
+use crate::component::{Allocation, ComponentId};
 use crate::cost::CostConfig;
 
 use super::Partitioner;
@@ -41,45 +47,71 @@ impl HierarchicalClustering {
         graph: &AccessGraph,
         target: usize,
     ) -> Vec<Vec<BehaviorId>> {
-        let mut clusters: Vec<Vec<BehaviorId>> =
-            spec.leaves().into_iter().map(|l| vec![l]).collect();
-        if clusters.is_empty() {
-            return clusters;
+        let leaves = spec.leaves();
+        let vars: Vec<VarId> = spec.variables().map(|(v, _)| v).collect();
+        let (n, nv) = (leaves.len(), vars.len());
+
+        // Leaf l's traffic to variable k sits at `leaf_traffic[l * nv + k]`.
+        let leaf_traffic: Vec<f64> = leaves
+            .iter()
+            .flat_map(|&l| vars.iter().map(move |&v| graph.traffic(l, v)))
+            .collect();
+        // Clusters live in slots indexed by their first leaf; a merge
+        // empties the higher slot, so `alive` (ascending) is cluster
+        // order. A cluster's row sums its members' rows in member order,
+        // and closeness takes the lower slot's row first, so every score
+        // is bit-identical to re-summing the members from scratch.
+        let mut members: Vec<Vec<usize>> = (0..n).map(|l| vec![l]).collect();
+        let mut rows = leaf_traffic.clone();
+        let mut alive: Vec<usize> = (0..n).collect();
+        let row = |s: usize| s * nv..(s + 1) * nv;
+        let closeness = |rows: &[f64], a: usize, b: usize| -> f64 {
+            rows[row(a)]
+                .iter()
+                .zip(&rows[row(b)])
+                .fold(0.0, |sum, (ta, tb)| sum + ta.min(*tb))
+        };
+        // Upper triangle: `close[a * n + b]` for slots `a < b`.
+        let mut close = vec![0.0; n * n];
+        for a in 0..n {
+            for b in (a + 1)..n {
+                close[a * n + b] = closeness(&rows, a, b);
+            }
         }
 
-        // Pairwise traffic between leaves: bits they exchange through
-        // shared variables (sum over variables of min of the two sides'
-        // traffic — the transferable portion).
-        let traffic = |a: &[BehaviorId], b: &[BehaviorId]| -> f64 {
-            let mut sum = 0.0;
-            for (v, _) in spec.variables() {
-                let side = |cluster: &[BehaviorId]| -> f64 {
-                    cluster.iter().map(|&l| graph.traffic(l, v)).sum()
-                };
-                let ta = side(a);
-                let tb = side(b);
-                sum += ta.min(tb);
-            }
-            sum
-        };
-
         let merges = modref_obs::counter("clustering.merges");
-        while clusters.len() > target.max(1) {
+        while alive.len() > target.max(1) {
             let mut best: Option<(usize, usize, f64)> = None;
-            for i in 0..clusters.len() {
-                for j in (i + 1)..clusters.len() {
-                    let t = traffic(&clusters[i], &clusters[j]);
+            for (p, &a) in alive.iter().enumerate() {
+                for (q, &b) in alive.iter().enumerate().skip(p + 1) {
+                    let t = close[a * n + b];
                     if best.is_none_or(|(_, _, bt)| t > bt) {
-                        best = Some((i, j, t));
+                        best = Some((p, q, t));
                     }
                 }
             }
-            let (i, j, _) = best.expect("at least two clusters");
-            let merged = clusters.remove(j);
-            clusters[i].extend(merged);
+            let (p, q, _) = best.expect("at least two clusters");
+            let (i, j) = (alive[p], alive.remove(q));
+            let moved = std::mem::take(&mut members[j]);
+            for &m in &moved {
+                for (t, lt) in rows[row(i)].iter_mut().zip(&leaf_traffic[row(m)]) {
+                    *t += lt;
+                }
+            }
+            members[i].extend(moved);
+            for &k in &alive {
+                if k < i {
+                    close[k * n + i] = closeness(&rows, k, i);
+                } else if k > i {
+                    close[i * n + k] = closeness(&rows, i, k);
+                }
+            }
             merges.inc();
         }
-        clusters
+        alive
+            .iter()
+            .map(|&s| members[s].iter().map(|&l| leaves[l]).collect())
+            .collect()
     }
 }
 
@@ -132,7 +164,7 @@ impl Partitioner for HierarchicalClustering {
                 (i, load)
             })
             .collect();
-        cluster_loads.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("loads are finite"));
+        cluster_loads.sort_by(|a, b| b.1.total_cmp(&a.1));
 
         let mut part = Partition::with_default(ids[0]);
         if let Some(top) = spec.top_opt() {
@@ -143,7 +175,7 @@ impl Partitioner for HierarchicalClustering {
             let (slot, _) = comp_load
                 .iter()
                 .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+                .min_by(|a, b| a.1.total_cmp(b.1))
                 .expect("non-empty");
             for &leaf in &clusters[ci] {
                 part.assign_behavior(leaf, ids[slot]);
@@ -151,17 +183,16 @@ impl Partitioner for HierarchicalClustering {
             comp_load[slot] += load;
         }
 
-        // Home each variable on the component with the most traffic to it.
+        // Home each variable on the component with the most traffic to it
+        // (the last such component on a tie).
         for (v, _) in spec.variables() {
-            let best = ids
+            let traffic = var_component_traffic(spec, graph, &part, &ids, v);
+            let (best, _) = traffic
                 .iter()
-                .copied()
-                .max_by(|&a, &b| {
-                    let t = |c| var_component_traffic(spec, graph, &part, v, c);
-                    t(a).partial_cmp(&t(b)).expect("finite")
-                })
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
                 .expect("non-empty allocation");
-            part.assign_var(v, best);
+            part.assign_var(v, ids[best]);
         }
         part
     }
@@ -171,20 +202,25 @@ impl Partitioner for HierarchicalClustering {
     }
 }
 
+/// The traffic to `v` from each component in `ids` (same order), in one
+/// pass over `v`'s accessors.
 fn var_component_traffic(
     spec: &Spec,
     graph: &AccessGraph,
     part: &Partition,
+    ids: &[ComponentId],
     v: VarId,
-    component: crate::component::ComponentId,
-) -> f64 {
-    let mut by_comp: HashMap<_, f64> = HashMap::new();
+) -> Vec<f64> {
+    let mut by_comp = vec![0.0; ids.len()];
     for b in graph.behaviors_accessing(v) {
-        if let Some(c) = part.component_of_behavior(spec, b) {
-            *by_comp.entry(c).or_insert(0.0) += graph.traffic(b, v);
+        let slot = part
+            .component_of_behavior(spec, b)
+            .and_then(|c| ids.iter().position(|&id| id == c));
+        if let Some(slot) = slot {
+            by_comp[slot] += graph.traffic(b, v);
         }
     }
-    by_comp.get(&component).copied().unwrap_or(0.0)
+    by_comp
 }
 
 #[cfg(test)]

@@ -87,7 +87,7 @@ impl Partitioner for GreedyPartitioner {
                 .min_by(|&a, &b| {
                     let ta = var_cross_traffic(spec, graph, &part, v, a);
                     let tb = var_cross_traffic(spec, graph, &part, v, b);
-                    ta.partial_cmp(&tb).expect("traffic is finite")
+                    ta.total_cmp(&tb)
                 })
                 .expect("non-empty allocation");
             part.assign_var(v, best);
