@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use modref_bench::harness::Criterion;
-use modref_bench::{criterion_group, criterion_main};
+use modref_bench::{build_profile, criterion_group, criterion_main, nproc};
 
 use modref_core::figure9_row;
 use modref_graph::AccessGraph;
@@ -219,21 +219,11 @@ fn time_explore(
     }
 }
 
-fn nproc() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 fn json(records: &[Record]) -> String {
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
     let mut out = format!(
-        "{{\n  \"bench\": \"explore\",\n  \"nproc\": {},\n  \"profile\": \"{profile}\",\n  \"workloads\": [\n",
-        nproc()
+        "{{\n  \"bench\": \"explore\",\n  \"nproc\": {},\n  \"profile\": \"{}\",\n  \"workloads\": [\n",
+        nproc(),
+        build_profile()
     );
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(

@@ -14,13 +14,14 @@
 //! case), then records ns/step for each kernel, the speedups, the
 //! condition re-evaluations the event kernel avoided, and the compiled
 //! kernel's instruction/dispatch counts, in `BENCH_sim.json` at the
-//! repo root. All kernels' results are asserted equal, so the numbers
-//! always describe equivalent runs.
+//! repo root, with the core count and build profile. All kernels'
+//! results are asserted equal, so the numbers always describe
+//! equivalent runs.
 
 use std::time::Instant;
 
 use modref_bench::harness::Criterion;
-use modref_bench::{criterion_group, criterion_main};
+use modref_bench::{build_profile, criterion_group, criterion_main, nproc};
 
 use modref_core::{refine, ImplModel};
 use modref_graph::AccessGraph;
@@ -120,7 +121,11 @@ fn measure(name: impl Into<String>, spec: &Spec, reps: u32) -> Record {
 }
 
 fn json(records: &[Record]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"sim\",\n  \"workloads\": [\n");
+    let mut out = format!(
+        "{{\n  \"bench\": \"sim\",\n  \"nproc\": {},\n  \"profile\": \"{}\",\n  \"workloads\": [\n",
+        nproc(),
+        build_profile()
+    );
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(
             "    {{\n      \"name\": \"{}\",\n      \"concurrent_leaves\": {},\n      \"steps\": {},\n      \"roundrobin_ns_per_step\": {:.1},\n      \"event_ns_per_step\": {:.1},\n      \"compiled_ns_per_step\": {:.1},\n      \"speedup\": {:.2},\n      \"compiled_speedup\": {:.2},\n      \"roundrobin_cond_evals\": {},\n      \"event_cond_evals\": {},\n      \"cond_evals_avoided\": {},\n      \"wakeups\": {},\n      \"rounds\": {},\n      \"instrs\": {},\n      \"dispatches\": {}\n    }}{}\n",

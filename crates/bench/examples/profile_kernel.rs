@@ -1,9 +1,11 @@
 //! Isolation harness separating a kernel's two cost centers: `spin_1M`
 //! is a single process in a tight loop (pure dispatch/interpreter cost,
 //! the scheduler never runs), while `ring128` is scheduler-bound (two
-//! rounds, a timer pop and a wake per eight instructions). The spread
-//! between a kernel's two numbers is the shared scheduler residue that
-//! lowering cannot remove. Run with
+//! rounds, a timer pop and a wake per eight instructions). The `event`
+//! and `compiled` kernels run the same event scheduler over different
+//! executors (AST interpreter, bytecode), so the spread between a
+//! kernel's two numbers is the shared scheduler residue that lowering
+//! cannot remove. Run with
 //! `cargo run --release -p modref-bench --example profile_kernel`.
 //! Not part of the recorded benches — `BENCH_sim.json` comes from the
 //! `sim_kernel` bench.

@@ -8,6 +8,23 @@ pub mod harness;
 use modref_core::ImplModel;
 use modref_workloads::Design;
 
+/// The core count the bench runs on, recorded in every `BENCH_*.json`.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// The build profile the benches were compiled in (`"release"` or
+/// `"debug"`), recorded in every `BENCH_*.json`.
+pub fn build_profile() -> &'static str {
+    if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    }
+}
+
 /// The evaluation grid of the paper's Section 5.
 pub fn grid() -> Vec<(Design, ImplModel)> {
     Design::ALL

@@ -408,6 +408,7 @@ USAGE:
                   [--max-steps N] [--stats]   (+ activations / scheduler stats)
                   [--kernel event|roundrobin|compiled]
                                               pick the simulation kernel
+                                              (default compiled)
                   [--vcd FILE]                record an event trace and write
                                               an IEEE 1364 waveform (GTKWave)
   modref refine   <spec> -p <part> -m <1..4>  refine, print spec
@@ -423,6 +424,7 @@ USAGE:
                                               refinement of the original's
                   [--kernel event|roundrobin|compiled]
                                               kernel for --verify simulations
+                                              (default compiled)
   modref estimate <spec> -p <part>            lifetimes + channel rates report
   modref serve    --stdio | --listen ADDR     concurrent JSONL codesign service:
                   [--workers N] [--queue N]   one request per line on stdin (or
@@ -511,7 +513,8 @@ fn read_flag_file(args: &[String], flag: &str) -> Result<String, Box<dyn std::er
 }
 
 /// Resolves the optional `--kernel` flag; absent means the default
-/// event-driven kernel.
+/// compiled kernel. Every kernel shares one event scheduler except the
+/// round-robin reference.
 fn parse_kernel(args: &[String]) -> Result<modref_sim::SimKernel, Box<dyn std::error::Error>> {
     match flag_value(args, "--kernel") {
         None => Ok(modref_sim::SimKernel::default()),
@@ -572,6 +575,34 @@ mod tests {
         assert_eq!(g.trace.as_deref(), Some("t.jsonl"));
         assert_eq!(g.verbosity, 0);
         assert!(split_global(&s(&["explore", "--trace"])).is_err());
+    }
+
+    #[test]
+    fn every_default_kernel_is_compiled() {
+        use modref_sim::SimKernel;
+        assert_eq!(modref_sim::SimConfig::default().kernel, SimKernel::Compiled);
+        assert_eq!(modref_core::api::SimOpts::new().kernel, SimKernel::Compiled);
+        assert_eq!(
+            modref_core::api::VerifyOpts::new().kernel,
+            SimKernel::Compiled
+        );
+        let absent = parse_kernel(&s(&["simulate", "x.spec"])).expect("no flag is valid");
+        assert_eq!(absent, SimKernel::Compiled);
+    }
+
+    #[test]
+    fn every_kernel_name_still_parses() {
+        use modref_sim::SimKernel::{Compiled, EventDriven, RoundRobin};
+        for (name, kernel) in [
+            ("event", EventDriven),
+            ("event-driven", EventDriven),
+            ("roundrobin", RoundRobin),
+            ("round-robin", RoundRobin),
+            ("compiled", Compiled),
+        ] {
+            let args = s(&["simulate", "x.spec", "--kernel", name]);
+            assert_eq!(parse_kernel(&args).expect(name), kernel);
+        }
     }
 
     #[test]

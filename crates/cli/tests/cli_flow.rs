@@ -235,7 +235,9 @@ fn verified_explore_verdicts_are_kernel_independent() {
             .collect()
     }
 
-    let (ev_out, stderr, ok) = run(&["explore", &spec, "--seeds", "2", "--verify"]);
+    let (ev_out, stderr, ok) = run(&[
+        "explore", &spec, "--seeds", "2", "--verify", "--kernel", "event",
+    ]);
     assert!(ok, "event-kernel verify failed: {stderr}");
     let (co_out, stderr, ok) = run(&[
         "explore", &spec, "--seeds", "2", "--verify", "--kernel", "compiled",

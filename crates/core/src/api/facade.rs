@@ -297,48 +297,6 @@ impl ExploreOpts {
         self.progress = Some(f);
         self
     }
-
-    /// Sets the partition text supplying the allocation.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_part`")]
-    #[must_use]
-    pub fn part(self, text: impl Into<String>) -> Self {
-        self.with_part(text)
-    }
-
-    /// Sets the seed count.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_seeds`")]
-    #[must_use]
-    pub fn seeds(self, seeds: u64) -> Self {
-        self.with_seeds(seeds)
-    }
-
-    /// Sets the worker-thread count.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_threads`")]
-    #[must_use]
-    pub fn threads(self, threads: usize) -> Self {
-        self.with_threads(threads)
-    }
-
-    /// Sets the annealing iteration budget.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_anneal_iterations`")]
-    #[must_use]
-    pub fn anneal_iterations(self, iterations: u32) -> Self {
-        self.with_anneal_iterations(iterations)
-    }
-
-    /// Sets the migration sweep budget.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_migration_passes`")]
-    #[must_use]
-    pub fn migration_passes(self, passes: u32) -> Self {
-        self.with_migration_passes(passes)
-    }
-
-    /// Attaches a cooperative stop token.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_cancel`")]
-    #[must_use]
-    pub fn cancel(self, token: CancelToken) -> Self {
-        self.with_cancel(token)
-    }
 }
 
 /// Options for [`Codesign::verify`]. `#[non_exhaustive]` — construct
@@ -372,7 +330,7 @@ pub struct VerifyOpts {
 
 impl VerifyOpts {
     /// Default options: default allocation, automatic thread count,
-    /// event-driven kernel.
+    /// the default ([`SimKernel::Compiled`]) kernel.
     ///
     /// ```
     /// use modref_core::api::VerifyOpts;
@@ -424,41 +382,6 @@ impl VerifyOpts {
     pub fn with_progress(mut self, f: ProgressFn) -> Self {
         self.progress = Some(f);
         self
-    }
-
-    /// Picks the scheduler kernel for the verification simulations.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_kernel`")]
-    #[must_use]
-    pub fn kernel(self, kernel: SimKernel) -> Self {
-        self.with_kernel(kernel)
-    }
-
-    /// Enables the stuttering-refinement trace check.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_check_traces`")]
-    #[must_use]
-    pub fn check_traces(self, on: bool) -> Self {
-        self.with_check_traces(on)
-    }
-
-    /// Sets the partition text supplying the allocation.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_part`")]
-    #[must_use]
-    pub fn part(self, text: impl Into<String>) -> Self {
-        self.with_part(text)
-    }
-
-    /// Sets the worker-thread count.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_threads`")]
-    #[must_use]
-    pub fn threads(self, threads: usize) -> Self {
-        self.with_threads(threads)
-    }
-
-    /// Attaches a cooperative stop token.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_cancel`")]
-    #[must_use]
-    pub fn cancel(self, token: CancelToken) -> Self {
-        self.with_cancel(token)
     }
 }
 
@@ -518,39 +441,11 @@ impl LintOpts {
         self.allow.push(code_or_name.into());
         self
     }
-
-    /// Supplies partition text, enabling the conformance lints.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_part`")]
-    #[must_use]
-    pub fn part(self, text: impl Into<String>) -> Self {
-        self.with_part(text)
-    }
-
-    /// Restricts conformance linting to one model.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_model`")]
-    #[must_use]
-    pub fn model(self, model: ImplModel) -> Self {
-        self.with_model(model)
-    }
-
-    /// Promotes a lint (or `warnings`) to error severity.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_deny`")]
-    #[must_use]
-    pub fn deny(self, code_or_name: impl Into<String>) -> Self {
-        self.with_deny(code_or_name)
-    }
-
-    /// Suppresses a lint.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_allow`")]
-    #[must_use]
-    pub fn allow(self, code_or_name: impl Into<String>) -> Self {
-        self.with_allow(code_or_name)
-    }
 }
 
 /// Options for [`Codesign::simulate`]. `#[non_exhaustive]` — construct
 /// with [`SimOpts::new`] and the builder methods.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct SimOpts {
     /// Micro-step budget; `None` keeps the simulator default.
@@ -563,18 +458,9 @@ pub struct SimOpts {
     pub trace: bool,
 }
 
-impl Default for SimOpts {
-    fn default() -> Self {
-        Self {
-            max_steps: None,
-            kernel: SimKernel::EventDriven,
-            trace: false,
-        }
-    }
-}
-
 impl SimOpts {
-    /// Default options: event-driven kernel, default step budget.
+    /// Default options: the default ([`SimKernel::Compiled`]) kernel,
+    /// default step budget.
     ///
     /// ```
     /// use modref_core::api::SimOpts;
@@ -604,27 +490,6 @@ impl SimOpts {
     pub fn with_trace(mut self, on: bool) -> Self {
         self.trace = on;
         self
-    }
-
-    /// Sets the micro-step budget.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_max_steps`")]
-    #[must_use]
-    pub fn max_steps(self, steps: u64) -> Self {
-        self.with_max_steps(steps)
-    }
-
-    /// Picks the scheduler kernel.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_kernel`")]
-    #[must_use]
-    pub fn kernel(self, kernel: SimKernel) -> Self {
-        self.with_kernel(kernel)
-    }
-
-    /// Enables event-trace recording.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_trace`")]
-    #[must_use]
-    pub fn trace(self, on: bool) -> Self {
-        self.with_trace(on)
     }
 }
 

@@ -78,7 +78,7 @@ pub enum SpecSource {
 #[non_exhaustive]
 pub struct SimParams {
     /// Simulation kernel for the verification runs (one of `event`,
-    /// `roundrobin`, `compiled`); `None` keeps the default event-driven
+    /// `roundrobin`, `compiled`); `None` keeps the default compiled
     /// kernel.
     pub kernel: Option<modref_sim::SimKernel>,
     /// When `true`, both simulations record event traces and the

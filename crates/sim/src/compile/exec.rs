@@ -1,45 +1,25 @@
-//! Execution of compiled programs: the dispatch loop and the scheduler.
+//! Execution of compiled programs: the bytecode executor the event
+//! scheduler ([`crate::simulator`]) runs for [`SimKernel::Compiled`].
 //!
-//! The scheduler is phase-for-phase the event-driven kernel from
-//! [`crate::simulator`] — sensitivity waiter lists, timer heap,
-//! pending-child counts, identical wake ordering — so its work counters
-//! (`rounds`, `cond_evals`, `wakeups`, `timer_pops`) match the event
-//! kernel's exactly. What changes is the inner loop: instead of
-//! micro-stepping a frame-stack interpreter one statement at a time, a
-//! ready process *resumes* at its saved program counter and runs flat
-//! instructions until it blocks. Dispatch is a single `match` per
+//! The scheduler is the one the AST interpreter also runs under, so the
+//! work counters (`rounds`, `cond_evals`, `wakeups`, `timer_pops`) match
+//! the `EventDriven` kernel's exactly. What changes is the inner loop:
+//! instead of micro-stepping a frame-stack interpreter one statement at a
+//! time, a ready process *resumes* at its saved program counter and runs
+//! flat instructions until it blocks. Dispatch is a single `match` per
 //! instruction — one indirect branch, no tree recursion, no frame
 //! allocation; expression operands are pre-resolved slot indices
 //! evaluated postfix over one shared scratch stack.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!
+//! [`SimKernel::Compiled`]: crate::SimKernel::Compiled
 
 use modref_spec::{BehaviorId, Spec, VarId};
 
 use super::{CompiledSpec, EOp, ExprRef, FrameArg, Instr, OutTarget, Pc};
 use crate::error::SimError;
 use crate::process::SharedState;
-use crate::result::{
-    SimResult, METER_NAMES, SLOT_COND_EVALS, SLOT_DISPATCHES, SLOT_INSTRS, SLOT_ROUNDS,
-    SLOT_TIMER_POPS, SLOT_WAKEUPS,
-};
-use crate::simulator::SimConfig;
+use crate::simulator::{Executor, Yield};
 use crate::value::{wrap_scalar, Storage};
-
-/// Scheduling status of a compiled process.
-#[derive(Debug, Clone, PartialEq)]
-enum CStatus {
-    Ready,
-    /// Blocked at a `wait until` site (the pc rests *on* the wait
-    /// instruction and re-executes it on wake).
-    WaitUntil(u32),
-    /// Sleeping until the given absolute time.
-    WaitTime(u64),
-    /// Waiting for spawned child processes (by process index).
-    WaitChildren(Vec<usize>),
-    Done,
-}
 
 /// One subroutine call frame: return address plus the frame's extent in
 /// the process's parameter stack.
@@ -59,58 +39,300 @@ struct LoopRec {
 
 /// A compiled process: a resumable program counter plus call/loop stacks.
 #[derive(Debug)]
-struct CProc {
-    behavior: BehaviorId,
+pub(crate) struct CProc {
+    /// At a `wait until` the pc rests *on* the wait instruction, which
+    /// re-executes on wake.
     pc: Pc,
-    status: CStatus,
-    is_server: bool,
-    /// Process indices of children this process spawned.
-    spawned: Vec<usize>,
     calls: Vec<CallRec>,
     /// Parameter value stack; frames are `base..base+len` slices.
     params: Vec<i64>,
     loops: Vec<LoopRec>,
-    /// Wait sites whose sensitivity lists already hold this process.
-    /// Registration is *sticky*: a `(process, site)` pair enters each
-    /// list at most once for the whole run and is validated at scan time
-    /// by the process's current status, so re-blocking on the same site
-    /// (the server-loop steady state) costs nothing.
-    registered: Vec<u32>,
 }
 
-impl CProc {
-    fn new(prog: &CompiledSpec, spec: &Spec, behavior: BehaviorId) -> Self {
-        debug_assert!(prog.has_entry(behavior), "spawned behavior has no entry");
+/// The bytecode executor over one compiled program.
+#[derive(Debug)]
+pub(crate) struct Bytecode<'a> {
+    prog: &'a CompiledSpec,
+    spec: &'a Spec,
+    /// The postfix evaluation stack, shared by every process.
+    stack: Vec<i64>,
+}
+
+impl<'a> Bytecode<'a> {
+    pub(crate) fn new(spec: &'a Spec, prog: &'a CompiledSpec) -> Self {
         Self {
-            behavior,
-            pc: prog.entries[behavior.index()],
-            status: CStatus::Ready,
-            is_server: spec.behavior(behavior).is_server(),
-            spawned: Vec::new(),
-            calls: Vec::new(),
-            params: Vec::new(),
-            loops: Vec::new(),
-            registered: Vec::new(),
+            prog,
+            spec,
+            stack: Vec::with_capacity(16),
         }
     }
 }
 
-/// Why a resumed process stopped running.
-#[derive(Debug)]
-enum RunEvent {
-    /// Blocked at a `wait until` site (status already updated).
-    WaitCond(u32),
-    /// Sleeping until the given absolute time (status already updated).
-    Sleep(u64),
-    /// Needs children for spawn group `.0`.
-    Spawn(u32),
-    /// The root behavior completed.
-    Completed,
+impl<'a> Executor<'a> for Bytecode<'a> {
+    type Proc = CProc;
+    const COUNTS_INSTRS: bool = true;
+
+    fn spawn(&mut self, behavior: BehaviorId) -> CProc {
+        debug_assert!(
+            self.prog.has_entry(behavior),
+            "spawned behavior has no entry"
+        );
+        CProc {
+            pc: self.prog.entries[behavior.index()],
+            calls: Vec::new(),
+            params: Vec::new(),
+            loops: Vec::new(),
+        }
+    }
+
+    /// Runs `proc` from its saved pc until it blocks, spawns or
+    /// completes. Each executed instruction is one micro-step, counted
+    /// and limited exactly like the interpreter's statement steps.
+    ///
+    /// `#[inline]` (here and on `eval_site`) lets the generic scheduler,
+    /// which lives in another module, inline the dispatch loop.
+    #[inline]
+    fn run(
+        &mut self,
+        proc: &mut CProc,
+        state: &mut SharedState,
+        now: u64,
+        steps: &mut u64,
+        max_steps: u64,
+    ) -> Result<Yield<'a>, SimError> {
+        let (prog, spec, stack) = (self.prog, self.spec, &mut self.stack);
+        loop {
+            *steps += 1;
+            if *steps > max_steps {
+                return Err(SimError::StepLimitExceeded { limit: max_steps });
+            }
+            match &prog.code[proc.pc as usize] {
+                Instr::Nop => proc.pc += 1,
+                Instr::Jump(to) => proc.pc = *to,
+                Instr::JumpIfZero { cond, to } => {
+                    let v = eval(prog, spec, &proc.calls, &proc.params, state, stack, *cond)?;
+                    proc.pc = if v == 0 { *to } else { proc.pc + 1 };
+                }
+                Instr::StoreVar { slot, ty, value } => {
+                    let v = eval(prog, spec, &proc.calls, &proc.params, state, stack, *value)?;
+                    let w = wrap_scalar(v, *ty);
+                    state.vars[*slot as usize] = Storage::Scalar(w);
+                    state.note_var_write(*slot as usize);
+                    state.trace_var(*slot as usize, w);
+                    proc.pc += 1;
+                }
+                Instr::StoreElem {
+                    slot,
+                    ty,
+                    index,
+                    value,
+                } => {
+                    // Value before index: the interpreter evaluates the
+                    // right-hand side before resolving the target.
+                    let v = eval(prog, spec, &proc.calls, &proc.params, state, stack, *value)?;
+                    let i = eval(prog, spec, &proc.calls, &proc.params, state, stack, *index)?;
+                    store_elem(spec, state, *slot, *ty, i, v)?;
+                    proc.pc += 1;
+                }
+                Instr::StoreParam { slot, name, value } => {
+                    let v = eval(prog, spec, &proc.calls, &proc.params, state, stack, *value)?;
+                    match proc.calls.last() {
+                        Some(rec) if *slot < rec.len => {
+                            proc.params[rec.base as usize + *slot as usize] = v;
+                        }
+                        _ => return Err(unbound(prog, *name)),
+                    }
+                    proc.pc += 1;
+                }
+                Instr::StoreParamErr { name, value } => {
+                    // Evaluate the value first: its errors take precedence,
+                    // as in the interpreter's assign-then-resolve order.
+                    eval(prog, spec, &proc.calls, &proc.params, state, stack, *value)?;
+                    return Err(unbound(prog, *name));
+                }
+                Instr::SetSignal { slot, ty, value } => {
+                    let v = eval(prog, spec, &proc.calls, &proc.params, state, stack, *value)?;
+                    let w = wrap_scalar(v, *ty);
+                    state.signals[*slot as usize] = w;
+                    state.note_signal_write(*slot as usize);
+                    state.trace_signal(*slot as usize, w);
+                    proc.pc += 1;
+                }
+                Instr::WaitUntil { site } => {
+                    let cond = prog.waits[*site as usize].cond;
+                    let v = eval(prog, spec, &proc.calls, &proc.params, state, stack, cond)?;
+                    if v != 0 {
+                        proc.pc += 1;
+                    } else {
+                        // Pc stays on the wait: re-executes on wake, like the
+                        // interpreter re-running the statement.
+                        return Ok(Yield::Wait(*site));
+                    }
+                }
+                Instr::WaitFor(n) => {
+                    proc.pc += 1;
+                    return Ok(Yield::Sleep(now + n));
+                }
+                Instr::ForInit { site } => {
+                    let s = &prog.fors[*site as usize];
+                    let from = eval(prog, spec, &proc.calls, &proc.params, state, stack, s.from)?;
+                    let to = eval(prog, spec, &proc.calls, &proc.params, state, stack, s.to)?;
+                    proc.loops.push(LoopRec { next: from, to });
+                    proc.pc += 1;
+                }
+                Instr::ForNext { site } => {
+                    let s = &prog.fors[*site as usize];
+                    let rec = proc.loops.last_mut().expect("for record");
+                    if rec.next < rec.to {
+                        let v = rec.next;
+                        rec.next += 1;
+                        let w = wrap_scalar(v, s.ty);
+                        state.vars[s.slot as usize] = Storage::Scalar(w);
+                        state.note_var_write(s.slot as usize);
+                        state.trace_var(s.slot as usize, w);
+                        proc.pc += 1;
+                    } else {
+                        proc.loops.pop();
+                        proc.pc = s.end;
+                    }
+                }
+                Instr::Call { site } => {
+                    let s = &prog.calls[*site as usize];
+                    let base = proc.params.len() as u32;
+                    for arg in s.args.iter() {
+                        let v = match arg {
+                            FrameArg::In { value, ty } => {
+                                // The caller's frame is still innermost, so
+                                // argument expressions see its parameters.
+                                let v = eval(
+                                    prog,
+                                    spec,
+                                    &proc.calls,
+                                    &proc.params,
+                                    state,
+                                    stack,
+                                    *value,
+                                )?;
+                                wrap_scalar(v, *ty)
+                            }
+                            FrameArg::Out => 0,
+                        };
+                        proc.params.push(v);
+                    }
+                    proc.calls.push(CallRec {
+                        ret: proc.pc + 1,
+                        base,
+                        len: s.args.len() as u16,
+                    });
+                    proc.pc = s.entry;
+                }
+                Instr::Return => {
+                    // The callee body's block pop: back to the call site's
+                    // continuation; the frame stays for the out-copy step.
+                    proc.pc = proc.calls.last().expect("call record").ret;
+                }
+                Instr::EndCall { site } => {
+                    let rec = proc.calls.pop().expect("call record");
+                    let s = &prog.calls[*site as usize];
+                    for (value_slot, target) in s.outs.iter() {
+                        let value = proc.params[rec.base as usize + *value_slot as usize];
+                        match target {
+                            OutTarget::Var { slot, ty } => {
+                                let w = wrap_scalar(value, *ty);
+                                state.vars[*slot as usize] = Storage::Scalar(w);
+                                state.note_var_write(*slot as usize);
+                                state.trace_var(*slot as usize, w);
+                            }
+                            OutTarget::Elem { slot, ty, index } => {
+                                // Index evaluates in the caller's context,
+                                // after the frame popped.
+                                let i = eval(
+                                    prog,
+                                    spec,
+                                    &proc.calls,
+                                    &proc.params,
+                                    state,
+                                    stack,
+                                    *index,
+                                )?;
+                                store_elem(spec, state, *slot, *ty, i, value)?;
+                            }
+                            OutTarget::Param { slot, name } => match proc.calls.last() {
+                                Some(caller) if *slot < caller.len => {
+                                    proc.params[caller.base as usize + *slot as usize] = value;
+                                }
+                                _ => return Err(unbound(prog, *name)),
+                            },
+                            OutTarget::ParamErr { name } => return Err(unbound(prog, *name)),
+                        }
+                    }
+                    proc.params.truncate(rec.base as usize);
+                    proc.pc += 1;
+                }
+                Instr::Spawn { group } => {
+                    proc.pc += 1;
+                    return Ok(Yield::Spawn(&prog.groups[*group as usize]));
+                }
+                Instr::Enter { child } => {
+                    state.activations[child.index()] += 1;
+                    proc.pc += 1;
+                }
+                Instr::Transition { site } => {
+                    let s = &prog.trans[*site as usize];
+                    let mut action = None;
+                    for (cond, a) in s.arcs.iter() {
+                        let fires = match cond {
+                            None => true,
+                            Some(c) => {
+                                eval(prog, spec, &proc.calls, &proc.params, state, stack, *c)? != 0
+                            }
+                        };
+                        if fires {
+                            action = Some(*a);
+                            break;
+                        }
+                    }
+                    let action = action.unwrap_or(s.default);
+                    if let Some(b) = action.activate {
+                        state.activations[b.index()] += 1;
+                    }
+                    proc.pc = action.pc;
+                }
+                Instr::Halt => return Ok(Yield::Completed),
+            }
+        }
+    }
+
+    #[inline]
+    fn eval_site(
+        &mut self,
+        proc: &CProc,
+        site: u32,
+        state: &SharedState,
+    ) -> Result<bool, SimError> {
+        let cond = self.prog.waits[site as usize].cond;
+        let v = eval(
+            self.prog,
+            self.spec,
+            &proc.calls,
+            &proc.params,
+            state,
+            &mut self.stack,
+            cond,
+        )?;
+        Ok(v != 0)
+    }
+
+    fn sensitivity(&self, site: u32) -> (&[u32], &[u32]) {
+        let w = &self.prog.waits[site as usize];
+        (&w.vars, &w.sigs)
+    }
 }
 
 /// Evaluates a postfix expression in a process's context. `calls` and
 /// `params` give the parameter environment (the innermost frame wins,
 /// like the interpreter's frame scan — but resolved to a slot already).
+#[inline]
 fn eval(
     prog: &CompiledSpec,
     spec: &Spec,
@@ -125,14 +347,27 @@ fn eval(
     // as does the next most common shape: one binary operator over two
     // leaf operands (`sig == 1`, `count + 1`, ...).
     match ops {
-        [op] => return leaf(prog, calls, params, state, op),
+        [op] => leaf(prog, calls, params, state, op),
         [l, r, EOp::Bin(op)] if !pops(l) && !pops(r) => {
             let lv = leaf(prog, calls, params, state, l)?;
             let rv = leaf(prog, calls, params, state, r)?;
-            return Ok(crate::process::eval_binop(*op, lv, rv));
+            Ok(crate::process::eval_binop(*op, lv, rv))
         }
-        _ => {}
+        _ => eval_stack(prog, spec, calls, params, state, stack, ops),
     }
+}
+
+/// Evaluates a postfix expression over the shared value stack: the
+/// general case of [`eval`], kept out of line.
+fn eval_stack(
+    prog: &CompiledSpec,
+    spec: &Spec,
+    calls: &[CallRec],
+    params: &[i64],
+    state: &SharedState,
+    stack: &mut Vec<i64>,
+    ops: &[EOp],
+) -> Result<i64, SimError> {
     stack.clear();
     for op in ops {
         let v = match op {
@@ -220,214 +455,6 @@ fn unbound(prog: &CompiledSpec, name: u32) -> SimError {
     SimError::UnboundParam(prog.names[name as usize].clone())
 }
 
-/// Runs `proc` from its saved pc until it blocks, spawns or completes.
-/// Each executed instruction is one micro-step, counted and limited
-/// exactly like the interpreters' statement steps.
-#[allow(clippy::too_many_arguments)]
-fn resume(
-    prog: &CompiledSpec,
-    spec: &Spec,
-    proc: &mut CProc,
-    state: &mut SharedState,
-    now: u64,
-    steps: &mut u64,
-    max_steps: u64,
-    stack: &mut Vec<i64>,
-) -> Result<RunEvent, SimError> {
-    loop {
-        *steps += 1;
-        if *steps > max_steps {
-            return Err(SimError::StepLimitExceeded { limit: max_steps });
-        }
-        match &prog.code[proc.pc as usize] {
-            Instr::Nop => proc.pc += 1,
-            Instr::Jump(to) => proc.pc = *to,
-            Instr::JumpIfZero { cond, to } => {
-                let v = eval(prog, spec, &proc.calls, &proc.params, state, stack, *cond)?;
-                proc.pc = if v == 0 { *to } else { proc.pc + 1 };
-            }
-            Instr::StoreVar { slot, ty, value } => {
-                let v = eval(prog, spec, &proc.calls, &proc.params, state, stack, *value)?;
-                let w = wrap_scalar(v, *ty);
-                state.vars[*slot as usize] = Storage::Scalar(w);
-                state.note_var_write(*slot as usize);
-                state.trace_var(*slot as usize, w);
-                proc.pc += 1;
-            }
-            Instr::StoreElem {
-                slot,
-                ty,
-                index,
-                value,
-            } => {
-                // Value before index: the interpreter evaluates the
-                // right-hand side before resolving the target.
-                let v = eval(prog, spec, &proc.calls, &proc.params, state, stack, *value)?;
-                let i = eval(prog, spec, &proc.calls, &proc.params, state, stack, *index)?;
-                store_elem(spec, state, *slot, *ty, i, v)?;
-                proc.pc += 1;
-            }
-            Instr::StoreParam { slot, name, value } => {
-                let v = eval(prog, spec, &proc.calls, &proc.params, state, stack, *value)?;
-                match proc.calls.last() {
-                    Some(rec) if *slot < rec.len => {
-                        proc.params[rec.base as usize + *slot as usize] = v;
-                    }
-                    _ => return Err(unbound(prog, *name)),
-                }
-                proc.pc += 1;
-            }
-            Instr::StoreParamErr { name, value } => {
-                // Evaluate the value first: its errors take precedence,
-                // as in the interpreter's assign-then-resolve order.
-                eval(prog, spec, &proc.calls, &proc.params, state, stack, *value)?;
-                return Err(unbound(prog, *name));
-            }
-            Instr::SetSignal { slot, ty, value } => {
-                let v = eval(prog, spec, &proc.calls, &proc.params, state, stack, *value)?;
-                let w = wrap_scalar(v, *ty);
-                state.signals[*slot as usize] = w;
-                state.note_signal_write(*slot as usize);
-                state.trace_signal(*slot as usize, w);
-                proc.pc += 1;
-            }
-            Instr::WaitUntil { site } => {
-                let cond = prog.waits[*site as usize].cond;
-                let v = eval(prog, spec, &proc.calls, &proc.params, state, stack, cond)?;
-                if v != 0 {
-                    proc.pc += 1;
-                } else {
-                    // Pc stays on the wait: re-executes on wake, like the
-                    // interpreter re-running the statement.
-                    proc.status = CStatus::WaitUntil(*site);
-                    return Ok(RunEvent::WaitCond(*site));
-                }
-            }
-            Instr::WaitFor(n) => {
-                proc.pc += 1;
-                let wake = now + n;
-                proc.status = CStatus::WaitTime(wake);
-                return Ok(RunEvent::Sleep(wake));
-            }
-            Instr::ForInit { site } => {
-                let s = &prog.fors[*site as usize];
-                let from = eval(prog, spec, &proc.calls, &proc.params, state, stack, s.from)?;
-                let to = eval(prog, spec, &proc.calls, &proc.params, state, stack, s.to)?;
-                proc.loops.push(LoopRec { next: from, to });
-                proc.pc += 1;
-            }
-            Instr::ForNext { site } => {
-                let s = &prog.fors[*site as usize];
-                let rec = proc.loops.last_mut().expect("for record");
-                if rec.next < rec.to {
-                    let v = rec.next;
-                    rec.next += 1;
-                    let w = wrap_scalar(v, s.ty);
-                    state.vars[s.slot as usize] = Storage::Scalar(w);
-                    state.note_var_write(s.slot as usize);
-                    state.trace_var(s.slot as usize, w);
-                    proc.pc += 1;
-                } else {
-                    proc.loops.pop();
-                    proc.pc = s.end;
-                }
-            }
-            Instr::Call { site } => {
-                let s = &prog.calls[*site as usize];
-                let base = proc.params.len() as u32;
-                for arg in s.args.iter() {
-                    let v = match arg {
-                        FrameArg::In { value, ty } => {
-                            // The caller's frame is still innermost, so
-                            // argument expressions see its parameters.
-                            let v =
-                                eval(prog, spec, &proc.calls, &proc.params, state, stack, *value)?;
-                            wrap_scalar(v, *ty)
-                        }
-                        FrameArg::Out => 0,
-                    };
-                    proc.params.push(v);
-                }
-                proc.calls.push(CallRec {
-                    ret: proc.pc + 1,
-                    base,
-                    len: s.args.len() as u16,
-                });
-                proc.pc = s.entry;
-            }
-            Instr::Return => {
-                // The callee body's block pop: back to the call site's
-                // continuation; the frame stays for the out-copy step.
-                proc.pc = proc.calls.last().expect("call record").ret;
-            }
-            Instr::EndCall { site } => {
-                let rec = proc.calls.pop().expect("call record");
-                let s = &prog.calls[*site as usize];
-                for (value_slot, target) in s.outs.iter() {
-                    let value = proc.params[rec.base as usize + *value_slot as usize];
-                    match target {
-                        OutTarget::Var { slot, ty } => {
-                            let w = wrap_scalar(value, *ty);
-                            state.vars[*slot as usize] = Storage::Scalar(w);
-                            state.note_var_write(*slot as usize);
-                            state.trace_var(*slot as usize, w);
-                        }
-                        OutTarget::Elem { slot, ty, index } => {
-                            // Index evaluates in the caller's context,
-                            // after the frame popped.
-                            let i =
-                                eval(prog, spec, &proc.calls, &proc.params, state, stack, *index)?;
-                            store_elem(spec, state, *slot, *ty, i, value)?;
-                        }
-                        OutTarget::Param { slot, name } => match proc.calls.last() {
-                            Some(caller) if *slot < caller.len => {
-                                proc.params[caller.base as usize + *slot as usize] = value;
-                            }
-                            _ => return Err(unbound(prog, *name)),
-                        },
-                        OutTarget::ParamErr { name } => return Err(unbound(prog, *name)),
-                    }
-                }
-                proc.params.truncate(rec.base as usize);
-                proc.pc += 1;
-            }
-            Instr::Spawn { group } => {
-                proc.pc += 1;
-                return Ok(RunEvent::Spawn(*group));
-            }
-            Instr::Enter { child } => {
-                state.activations[child.index()] += 1;
-                proc.pc += 1;
-            }
-            Instr::Transition { site } => {
-                let s = &prog.trans[*site as usize];
-                let mut action = None;
-                for (cond, a) in s.arcs.iter() {
-                    let fires = match cond {
-                        None => true,
-                        Some(c) => {
-                            eval(prog, spec, &proc.calls, &proc.params, state, stack, *c)? != 0
-                        }
-                    };
-                    if fires {
-                        action = Some(*a);
-                        break;
-                    }
-                }
-                let action = action.unwrap_or(s.default);
-                if let Some(b) = action.activate {
-                    state.activations[b.index()] += 1;
-                }
-                proc.pc = action.pc;
-            }
-            Instr::Halt => {
-                proc.status = CStatus::Done;
-                return Ok(RunEvent::Completed);
-            }
-        }
-    }
-}
-
 /// Stores into an element of an array variable (or the scalar itself on
 /// scalar storage — the interpreter's defensive path).
 fn store_elem(
@@ -461,263 +488,4 @@ fn store_elem(
         }
     }
     Ok(())
-}
-
-/// Runs a compiled program to completion of the top behavior: the
-/// event-driven scheduler over compiled processes.
-pub(crate) fn run(
-    spec: &Spec,
-    prog: &CompiledSpec,
-    config: &SimConfig,
-) -> Result<SimResult, SimError> {
-    let mut state = SharedState::init(spec);
-    if config.trace {
-        state.enable_trace();
-    }
-    state.activations[spec.top().index()] += 1;
-    let mut processes: Vec<CProc> = vec![CProc::new(prog, spec, spec.top())];
-    let mut now: u64 = 0;
-    let mut steps: u64 = 0;
-    let mut meter = modref_obs::Meter::new(METER_NAMES);
-    let mut dispatches: u64 = 0;
-    let mut stack: Vec<i64> = Vec::with_capacity(16);
-
-    // Scheduler bookkeeping, mirroring the event-driven kernel. The
-    // waiter lists hold `(process, wait site)` pairs; unlike the event
-    // kernel's epoch-tagged `WaiterTable` they are append-once (see
-    // `CProc::registered`) and validated at scan time by the process's
-    // current status, which collects exactly the same waiter set without
-    // per-block registration or compaction work.
-    let mut parent: Vec<Option<usize>> = vec![None];
-    let mut pending_children: Vec<usize> = vec![0];
-    let mut seen: Vec<bool> = vec![false];
-    let mut var_waiters: Vec<Vec<(usize, u32)>> = vec![Vec::new(); spec.variable_count()];
-    let mut sig_waiters: Vec<Vec<(usize, u32)>> = vec![Vec::new(); spec.signal_count()];
-    let mut timers: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-
-    let mut ready: Vec<usize> = vec![0];
-    let mut woken: Vec<usize> = Vec::new();
-    let mut recheck: Vec<usize> = Vec::new();
-    let mut finished_parents: Vec<usize> = Vec::new();
-    let mut kill_list: Vec<usize> = Vec::new();
-    let mut dirty_v: Vec<usize> = Vec::new();
-    let mut dirty_s: Vec<usize> = Vec::new();
-
-    loop {
-        meter.inc(SLOT_ROUNDS);
-
-        // Phase 1: resume each ready process until it blocks/completes
-        // (a resume only returns once the process left the Ready state).
-        let mut i = 0;
-        while i < ready.len() {
-            let pid = ready[i];
-            i += 1;
-            dispatches += 1;
-            let event = resume(
-                prog,
-                spec,
-                &mut processes[pid],
-                &mut state,
-                now,
-                &mut steps,
-                config.max_steps,
-                &mut stack,
-            )?;
-            match event {
-                RunEvent::WaitCond(site) => {
-                    if !processes[pid].registered.contains(&site) {
-                        processes[pid].registered.push(site);
-                        let w = &prog.waits[site as usize];
-                        for &v in w.vars.iter() {
-                            var_waiters[v as usize].push((pid, site));
-                        }
-                        for &sg in w.sigs.iter() {
-                            sig_waiters[sg as usize].push((pid, site));
-                        }
-                    }
-                }
-                RunEvent::Sleep(t) => timers.push(Reverse((t, pid))),
-                RunEvent::Completed => {
-                    if let Some(par) = parent[pid] {
-                        if !processes[pid].is_server {
-                            pending_children[par] -= 1;
-                            if pending_children[par] == 0 {
-                                finished_parents.push(par);
-                            }
-                        }
-                    }
-                }
-                RunEvent::Spawn(group) => {
-                    let children = &prog.groups[group as usize];
-                    let mut ids = Vec::with_capacity(children.len());
-                    let mut live = 0;
-                    for &c in children {
-                        let cid = processes.len();
-                        ids.push(cid);
-                        state.activations[c.index()] += 1;
-                        let child = CProc::new(prog, spec, c);
-                        if !child.is_server {
-                            live += 1;
-                        }
-                        processes.push(child);
-                        parent.push(Some(pid));
-                        pending_children.push(0);
-                        seen.push(false);
-                        ready.push(cid);
-                    }
-                    processes[pid].spawned.extend(ids.iter().copied());
-                    pending_children[pid] = live;
-                    processes[pid].status = CStatus::WaitChildren(ids);
-                    if live == 0 {
-                        finished_parents.push(pid);
-                    }
-                }
-            }
-        }
-        ready.clear();
-
-        // Phase 2a: re-evaluate conditions whose sensitivities were
-        // written this round. A list entry is live iff its process still
-        // waits at the site that registered it — the same waiter set the
-        // event kernel's epoch tags select. Entries of finished processes
-        // are pruned as they are encountered (spawn-heavy specs retire
-        // processes continuously; without pruning every scan would keep
-        // walking them). Pruning reorders a list, which only permutes the
-        // `recheck` order — condition re-evaluation is read-only and the
-        // woken set is sorted before dispatch, so the schedule is
-        // unchanged.
-        let scan = |list: &mut Vec<(usize, u32)>,
-                    processes: &[CProc],
-                    seen: &mut [bool],
-                    recheck: &mut Vec<usize>| {
-            let mut k = 0;
-            while k < list.len() {
-                let (p, site) = list[k];
-                match processes[p].status {
-                    CStatus::Done => {
-                        list.swap_remove(k);
-                        continue;
-                    }
-                    CStatus::WaitUntil(s) if s == site && !seen[p] => {
-                        seen[p] = true;
-                        recheck.push(p);
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-        };
-        dirty_v = state.take_dirty_vars(dirty_v);
-        for &vi in &dirty_v {
-            scan(&mut var_waiters[vi], &processes, &mut seen, &mut recheck);
-        }
-        dirty_s = state.take_dirty_signals(dirty_s);
-        for &si in &dirty_s {
-            scan(&mut sig_waiters[si], &processes, &mut seen, &mut recheck);
-        }
-        for pid in recheck.drain(..) {
-            seen[pid] = false;
-            let p = &processes[pid];
-            let wake = match p.status {
-                CStatus::WaitUntil(site) => {
-                    meter.inc(SLOT_COND_EVALS);
-                    let cond = prog.waits[site as usize].cond;
-                    eval(prog, spec, &p.calls, &p.params, &state, &mut stack, cond)? != 0
-                }
-                _ => false,
-            };
-            if wake {
-                meter.inc(SLOT_WAKEUPS);
-                processes[pid].status = CStatus::Ready;
-                woken.push(pid);
-            }
-        }
-
-        // Phase 2b: wake composites whose last counted child completed;
-        // terminate their servers recursively.
-        for par in finished_parents.drain(..) {
-            if let CStatus::WaitChildren(ids) = &processes[par].status {
-                kill_list.extend(ids.iter().copied().filter(|&c| processes[c].is_server));
-                processes[par].status = CStatus::Ready;
-                woken.push(par);
-            }
-        }
-        while let Some(k) = kill_list.pop() {
-            if !matches!(processes[k].status, CStatus::Done) {
-                processes[k].status = CStatus::Done;
-                kill_list.extend(processes[k].spawned.iter().copied());
-            }
-        }
-
-        if matches!(processes[0].status, CStatus::Done) {
-            meter.add(SLOT_INSTRS, steps);
-            meter.add(SLOT_DISPATCHES, dispatches);
-            let trace = state.take_trace();
-            return Ok(SimResult::collect(
-                spec, &state, now, steps, true, &meter, trace,
-            ));
-        }
-
-        if !woken.is_empty() {
-            if woken.len() > 1 {
-                woken.sort_unstable();
-            }
-            if state.trace.is_some() {
-                for &pid in &woken {
-                    let b = processes[pid].behavior.index();
-                    state.trace_wake(pid, b);
-                }
-            }
-            std::mem::swap(&mut ready, &mut woken);
-            continue;
-        }
-
-        // Phase 3: advance time via the timer heap.
-        let next_wake = loop {
-            match timers.peek() {
-                Some(&Reverse((t, pid))) => {
-                    if matches!(processes[pid].status, CStatus::WaitTime(w) if w == t) {
-                        break Some(t);
-                    }
-                    timers.pop();
-                    meter.inc(SLOT_TIMER_POPS);
-                }
-                None => break None,
-            }
-        };
-        match next_wake {
-            Some(t) => {
-                now = t.max(now);
-                state.trace_time(now);
-                while let Some(&Reverse((t2, pid))) = timers.peek() {
-                    if t2 > now {
-                        break;
-                    }
-                    timers.pop();
-                    meter.inc(SLOT_TIMER_POPS);
-                    if matches!(processes[pid].status, CStatus::WaitTime(w) if w == t2) {
-                        processes[pid].status = CStatus::Ready;
-                        ready.push(pid);
-                    }
-                }
-                if ready.len() > 1 {
-                    ready.sort_unstable();
-                }
-                if state.trace.is_some() {
-                    for &pid in &ready {
-                        let b = processes[pid].behavior.index();
-                        state.trace_wake(pid, b);
-                    }
-                }
-            }
-            None => {
-                let blocked: Vec<String> = processes
-                    .iter()
-                    .filter(|p| !matches!(p.status, CStatus::Done))
-                    .map(|p| spec.behavior(p.behavior).name().to_string())
-                    .collect();
-                return Err(SimError::Deadlock { time: now, blocked });
-            }
-        }
-    }
 }

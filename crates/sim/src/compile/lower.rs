@@ -20,7 +20,6 @@ use super::{
     CallSite, EOp, ExprRef, ForSite, FrameArg, Instr, OutTarget, Pc, TransAction, TransSite,
     WaitSite,
 };
-use crate::sensitivity::SensitivitySet;
 
 /// A label id, stored in pc-typed instruction fields until emit patches
 /// them to addresses.
@@ -278,14 +277,9 @@ impl<'a> Lowerer<'a> {
             Stmt::Wait(WaitCond::Until(cond)) => {
                 // Sensitivity comes from the source condition; folding
                 // only removes literal subtrees, which read nothing.
-                let sens = SensitivitySet::of(cond);
-                let cond = self.expr(cond, sub);
+                let lowered = self.expr(cond, sub);
                 let site = self.out.waits.len() as u32;
-                self.out.waits.push(WaitSite {
-                    cond,
-                    vars: sens.vars.iter().map(|v| v.index() as u32).collect(),
-                    sigs: sens.signals.iter().map(|s| s.index() as u32).collect(),
-                });
+                self.out.waits.push(WaitSite::new(lowered, cond));
                 self.push(Instr::WaitUntil { site });
             }
             Stmt::Wait(WaitCond::For(n)) | Stmt::Delay(n) => self.push(Instr::WaitFor(*n)),

@@ -20,11 +20,12 @@
 //! 3. **emit** (`emit`) — resolve labels to absolute program counters
 //!    and assemble the final [`CompiledSpec`].
 //!
-//! Execution (`exec`) reuses the event-driven scheduler structure
-//! (sensitivity waiter lists, timer heap, pending-child counts) but runs
-//! each process as a resumable program counter over the flat code — a
-//! single loop whose only control transfer is the opcode dispatch, with
-//! wait points recorded as the pc to resume at.
+//! Execution (`exec`) is an executor for the one event scheduler in
+//! [`crate::simulator`], the same scheduler the AST interpreter runs
+//! under: it runs each process as a resumable program counter over the
+//! flat code — a single loop whose only control transfer is the opcode
+//! dispatch, with wait points recorded as the pc to resume at. This is
+//! the default kernel.
 //!
 //! ## Step parity
 //!
@@ -45,8 +46,6 @@ pub(crate) mod optimize;
 
 use modref_spec::types::ScalarType;
 use modref_spec::{BehaviorId, BinOp, Spec, UnOp};
-
-pub(crate) use exec::run;
 
 /// An absolute instruction index into [`CompiledSpec::code`]. During
 /// lowering the same representation temporarily holds *label ids*; the
@@ -164,14 +163,9 @@ pub(crate) enum Instr {
     Halt,
 }
 
-/// A `wait until` site: the condition plus its pre-derived sensitivity
-/// lists (sorted, deduplicated slot indices) for waiter-list registration.
-#[derive(Debug, Clone)]
-pub(crate) struct WaitSite {
-    pub cond: ExprRef,
-    pub vars: Box<[u32]>,
-    pub sigs: Box<[u32]>,
-}
+/// A `wait until` site: the lowered condition plus its pre-derived
+/// sensitivity lists for waiter-list registration.
+pub(crate) type WaitSite = crate::sensitivity::WaitSite<ExprRef>;
 
 /// A `for` loop site: induction variable slot/type, bound expressions
 /// (evaluated once at entry) and the pc just past the loop.

@@ -20,13 +20,14 @@
 //!   `wait until` re-evaluate when the scheduler next runs them.
 //! * Processes are stepped in a deterministic order (ascending process
 //!   id within each scheduling round). Three kernels implement the same
-//!   semantics: the default event-driven kernel wakes blocked processes
-//!   from [sensitivity]-indexed waiter lists and a timer heap;
-//!   [`SimKernel::Compiled`] keeps that scheduler but executes behaviors
-//!   lowered to flat bytecode (see [`compile`]); and
-//!   [`SimKernel::RoundRobin`] is the original polling scheduler,
-//!   retained as an executable reference. All three produce identical
-//!   observable results — including step counts.
+//!   semantics. Two share one event scheduler, which wakes blocked
+//!   processes from [sensitivity]-indexed waiter lists and a timer heap:
+//!   the default [`SimKernel::Compiled`] executes behaviors lowered to
+//!   flat bytecode (see [`compile`]), and [`SimKernel::EventDriven`]
+//!   tree-walks the AST ([`process`]). [`SimKernel::RoundRobin`] is the
+//!   original polling scheduler, retained as an executable reference.
+//!   All three produce identical observable results — including step
+//!   counts.
 //! * The simulation ends when the *root* process (the top behavior)
 //!   completes; infinite server loops (memory behaviors, arbiters, bus
 //!   interfaces inserted by refinement) are then terminated.

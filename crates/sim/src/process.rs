@@ -1,5 +1,7 @@
 //! The per-process interpreter: frame stack, expression evaluation and
-//! statement micro-stepping.
+//! statement micro-stepping. The round-robin reference scheduler steps it
+//! directly; the `EventDriven` kernel runs it under the shared event
+//! scheduler as the `Interpreter` executor.
 //!
 //! Frames borrow their statement bodies, wait conditions and parameter
 //! names directly from the [`Spec`] instead of deep-cloning them: entering
@@ -11,6 +13,8 @@
 //! scanned from the innermost end, matching the insertion-order-overwrite
 //! semantics a per-call name map would have.
 
+use std::collections::HashMap;
+
 use modref_spec::stmt::CallArg;
 use modref_spec::{
     BehaviorId, BehaviorKind, BinOp, Expr, LValue, Spec, Stmt, TransitionTarget, UnOp, VarId,
@@ -18,6 +22,8 @@ use modref_spec::{
 };
 
 use crate::error::SimError;
+use crate::sensitivity::WaitSite;
+use crate::simulator::{Executor, Yield};
 use crate::trace::{SimTrace, TraceId, TraceSink};
 use crate::value::{truthy, wrap_scalar, Storage};
 
@@ -33,7 +39,7 @@ pub(crate) struct SharedState {
     /// Number of times each behavior started executing, indexed by
     /// behavior id — a dynamic activation profile.
     pub activations: Vec<u64>,
-    /// Variables written since the event-driven kernel last drained the
+    /// Variables written since the event scheduler last drained the
     /// queue (deduplicated via `var_dirty`). The round-robin kernel never
     /// drains it, which is fine: the dedup flags bound it at one entry
     /// per variable.
@@ -131,7 +137,7 @@ impl SharedState {
     }
 
     /// Records a variable write for both the stats counter and the
-    /// event-driven kernel's change queue.
+    /// event scheduler's change queue.
     #[inline]
     pub(crate) fn note_var_write(&mut self, idx: usize) {
         self.var_writes += 1;
@@ -227,13 +233,13 @@ pub(crate) enum Status<'a> {
 
 /// What a micro-step did.
 #[derive(Debug)]
-pub(crate) enum StepEvent {
+pub(crate) enum StepEvent<'a> {
     /// Executed one statement (or frame bookkeeping).
     Progress,
     /// The process blocked (its status has been updated).
     Blocked,
     /// The process needs child processes for these behaviors.
-    SpawnChildren(Vec<BehaviorId>),
+    SpawnChildren(&'a [BehaviorId]),
     /// The frame stack emptied: the process's behavior completed.
     Completed,
 }
@@ -290,7 +296,7 @@ impl<'a> Process<'a> {
         spec: &'a Spec,
         state: &mut SharedState,
         now: u64,
-    ) -> Result<StepEvent, SimError> {
+    ) -> Result<StepEvent<'a>, SimError> {
         let Some(top) = self.frames.last_mut() else {
             self.status = Status::Done;
             return Ok(StepEvent::Completed);
@@ -364,8 +370,9 @@ impl<'a> Process<'a> {
                     Ok(StepEvent::Progress)
                 } else {
                     *spawned = true;
-                    let children = spec.behavior(*behavior).children().to_vec();
-                    Ok(StepEvent::SpawnChildren(children))
+                    Ok(StepEvent::SpawnChildren(
+                        spec.behavior(*behavior).children(),
+                    ))
                 }
             }
         }
@@ -377,7 +384,7 @@ impl<'a> Process<'a> {
         state: &mut SharedState,
         behavior: BehaviorId,
         pos: SeqPos,
-    ) -> Result<StepEvent, SimError> {
+    ) -> Result<StepEvent<'a>, SimError> {
         let children = spec.behavior(behavior).children();
         match pos {
             SeqPos::NotStarted => {
@@ -455,7 +462,7 @@ impl<'a> Process<'a> {
         state: &mut SharedState,
         now: u64,
         stmt: &'a Stmt,
-    ) -> Result<StepEvent, SimError> {
+    ) -> Result<StepEvent<'a>, SimError> {
         let advance = |frames: &mut Vec<Frame>| {
             if let Some(Frame::Block { pc, .. }) = frames.last_mut() {
                 *pc += 1;
@@ -689,6 +696,88 @@ impl<'a> Process<'a> {
             }
             LValue::Param(name) => self.write_param(name, value),
         }
+    }
+}
+
+/// The AST interpreter as an event-scheduler [`Executor`]: a process
+/// micro-steps its frame stack until it blocks, spawns or completes. Its
+/// wait sites are the spec's `wait until` conditions, interned by address
+/// (every statement owns its condition) to dense ids on first block.
+#[derive(Debug)]
+pub(crate) struct Interpreter<'a> {
+    spec: &'a Spec,
+    ids: HashMap<*const Expr, u32>,
+    sites: Vec<WaitSite<&'a Expr>>,
+}
+
+impl<'a> Interpreter<'a> {
+    pub(crate) fn new(spec: &'a Spec) -> Self {
+        Self {
+            spec,
+            ids: HashMap::new(),
+            sites: Vec::new(),
+        }
+    }
+
+    /// The site id of `cond`, derived on first use.
+    fn intern(&mut self, cond: &'a Expr) -> u32 {
+        let sites = &mut self.sites;
+        *self.ids.entry(cond as *const Expr).or_insert_with(|| {
+            sites.push(WaitSite::new(cond, cond));
+            (sites.len() - 1) as u32
+        })
+    }
+}
+
+impl<'a> Executor<'a> for Interpreter<'a> {
+    type Proc = Process<'a>;
+    const COUNTS_INSTRS: bool = false;
+
+    fn spawn(&mut self, behavior: BehaviorId) -> Process<'a> {
+        Process::new(self.spec, behavior)
+    }
+
+    fn run(
+        &mut self,
+        proc: &mut Process<'a>,
+        state: &mut SharedState,
+        now: u64,
+        steps: &mut u64,
+        max_steps: u64,
+    ) -> Result<Yield<'a>, SimError> {
+        loop {
+            *steps += 1;
+            if *steps > max_steps {
+                return Err(SimError::StepLimitExceeded { limit: max_steps });
+            }
+            match proc.step(self.spec, state, now)? {
+                StepEvent::Progress => {}
+                StepEvent::Blocked => {
+                    return Ok(match proc.status {
+                        Status::WaitUntil(cond) => Yield::Wait(self.intern(cond)),
+                        Status::WaitTime(t) => Yield::Sleep(t),
+                        _ => unreachable!("a blocked process waits"),
+                    })
+                }
+                StepEvent::SpawnChildren(children) => return Ok(Yield::Spawn(children)),
+                StepEvent::Completed => return Ok(Yield::Completed),
+            }
+        }
+    }
+
+    fn eval_site(
+        &mut self,
+        proc: &Process<'a>,
+        site: u32,
+        state: &SharedState,
+    ) -> Result<bool, SimError> {
+        let cond = self.sites[site as usize].cond;
+        Ok(truthy(proc.eval(self.spec, state, cond)?))
+    }
+
+    fn sensitivity(&self, site: u32) -> (&[u32], &[u32]) {
+        let s = &self.sites[site as usize];
+        (&s.vars, &s.sigs)
     }
 }
 

@@ -12,8 +12,8 @@ use crate::value::Storage;
 /// regressions are observable (`modref simulate --stats`).
 ///
 /// These describe *how* the scheduler reached the result, not the result
-/// itself: the two kernels produce identical observable outcomes with very
-/// different counter profiles (the event-driven kernel's `cond_evals` is a
+/// itself: the two schedulers produce identical observable outcomes with very
+/// different counter profiles (the event scheduler's `cond_evals` is a
 /// small fraction of the round-robin kernel's — the wakeups avoided).
 /// They are therefore excluded from [`SimResult`]'s equality.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -24,7 +24,7 @@ pub struct SchedStats {
     pub cond_evals: u64,
     /// Processes woken from `wait until` blocks.
     pub wakeups: u64,
-    /// Timer-queue pops (event-driven kernel) or sleeper-scan passes
+    /// Timer-queue pops (event scheduler) or sleeper-scan passes
     /// (round-robin kernel) performed to advance time.
     pub timer_pops: u64,
     /// Bytecode instructions executed (compiled kernel only; equals

@@ -1,12 +1,11 @@
 //! Static sensitivity analysis for `wait until` conditions.
 //!
-//! The event-driven kernel re-evaluates a blocked condition only when
+//! The event scheduler re-evaluates a blocked condition only when
 //! something it *reads* was written. This module derives that read set —
 //! the condition's **sensitivity set** of variables and signals — with a
 //! read-set walk over [`Expr`], and pre-derives it for every `wait until`
 //! condition appearing in a specification (leaf bodies and subroutine
-//! bodies alike, via [`modref_spec::visit::for_each_stmt`]) so the
-//! scheduler's per-block registration is a hash lookup, not a tree walk.
+//! bodies alike, via [`modref_spec::visit::for_each_stmt`]).
 //!
 //! A condition's value can only change when a member of its sensitivity
 //! set is written: expressions are side-effect free, and subroutine
@@ -47,6 +46,28 @@ impl SensitivitySet {
     /// waiting process is blocked.
     pub fn is_empty(&self) -> bool {
         self.vars.is_empty() && self.signals.is_empty()
+    }
+}
+
+/// One `wait until` site as the event scheduler sees it: the executor's
+/// form of the condition plus the condition's sensitivity lists as
+/// variable and signal slot indices (sorted, deduplicated).
+#[derive(Debug, Clone)]
+pub(crate) struct WaitSite<C> {
+    pub cond: C,
+    pub vars: Box<[u32]>,
+    pub sigs: Box<[u32]>,
+}
+
+impl<C> WaitSite<C> {
+    /// A site executing `cond`, sensitive to what `source` reads.
+    pub(crate) fn new(cond: C, source: &Expr) -> Self {
+        let sens = SensitivitySet::of(source);
+        Self {
+            cond,
+            vars: sens.vars.iter().map(|v| v.index() as u32).collect(),
+            sigs: sens.signals.iter().map(|s| s.index() as u32).collect(),
+        }
     }
 }
 

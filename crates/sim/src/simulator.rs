@@ -1,5 +1,5 @@
-//! The scheduler: an event-driven kernel (default), a compiled bytecode
-//! kernel, and the original polling round-robin scheduler, retained as a
+//! The scheduler: one event-driven scheduler shared by two executors,
+//! and the original polling round-robin scheduler, retained as a
 //! behavioral reference.
 //!
 //! All kernels implement the same delta-cycle semantics — step every
@@ -9,57 +9,58 @@
 //! differ in how the wake phase finds candidates and in how statements
 //! execute:
 //!
-//! * **Round-robin** re-evaluates *every* blocked `wait until`
-//!   condition and rescans *every* process's child/server status each
-//!   round, so a round costs O(total processes).
-//! * **Event-driven** registers each blocked condition against its
+//! * **Round-robin** ([`SimKernel::RoundRobin`]) re-evaluates *every*
+//!   blocked `wait until` condition and rescans *every* process's
+//!   child/server status each round, so a round costs O(total processes).
+//! * The **event scheduler** registers each blocked condition against its
 //!   [sensitivity set](crate::sensitivity) in per-variable/per-signal
 //!   waiter lists, and only re-evaluates conditions whose sensitivities
-//!   were actually written (a dirty set maintained by the interpreter's
-//!   write path). Sleepers sit in a binary-heap timer queue instead of
-//!   being found by linear scan, and composites track a pending
-//!   non-server child count instead of rescanning all processes. Scratch
-//!   buffers (ready lists, recheck queues, dirty sets) are reused across
-//!   rounds.
-//! * **Compiled** ([`SimKernel::Compiled`]) keeps the event-driven
-//!   scheduler structure but executes behaviors as flat bytecode produced
-//!   by the [`compile`](crate::compile) lowering pipeline instead of
-//!   tree-walking the AST — see that module for the instruction set and
-//!   the step-parity guarantee.
+//!   were actually written (a dirty set maintained by the shared write
+//!   path). Sleepers sit in a binary-heap timer queue instead of being
+//!   found by linear scan, and composites track a pending non-server
+//!   child count instead of rescanning all processes. Scratch buffers
+//!   (ready lists, recheck queues, dirty sets) are reused across rounds.
+//!   It is written once, over an executor trait, and runs two executors:
+//!   - [`SimKernel::Compiled`] (the default) resumes behaviors lowered to
+//!     flat bytecode by the [`compile`](crate::compile) pipeline — see
+//!     that module for the instruction set and the step-parity guarantee;
+//!   - [`SimKernel::EventDriven`] micro-steps the tree-walking
+//!     [`process`](crate::process) interpreter.
 //!
-//! Waiter-list entries are stamped with a per-process *block epoch*;
-//! waking or re-blocking bumps the epoch, so stale entries are recognized
-//! lazily and purged during scans (and by amortized compaction on
-//! insert), with no eager deregistration needed. The timer heap uses the
-//! same trick implicitly: an entry is live only while its process still
-//! sleeps until exactly that time.
+//! Waiter lists hold `(process, wait site)` pairs. Each pair is
+//! registered once for the whole run and validated at scan time: an entry
+//! is live iff its process still waits at that site, so re-blocking on a
+//! site (the server-loop steady state) costs no registration work. The
+//! timer heap uses the same trick: an entry is live only while its
+//! process still sleeps until exactly that time.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
-use modref_spec::{Expr, Spec};
+use modref_spec::{BehaviorId, Spec};
 
 use crate::error::SimError;
-use crate::process::{Process, SharedState, Status, StepEvent};
+use crate::process::{Interpreter, Process, SharedState, Status, StepEvent};
 use crate::result::{
-    SimResult, METER_NAMES, SLOT_COND_EVALS, SLOT_ROUNDS, SLOT_TIMER_POPS, SLOT_WAKEUPS,
+    SimResult, METER_NAMES, SLOT_COND_EVALS, SLOT_DISPATCHES, SLOT_INSTRS, SLOT_ROUNDS,
+    SLOT_TIMER_POPS, SLOT_WAKEUPS,
 };
-use crate::sensitivity::SensitivitySet;
 use crate::value::truthy;
 
 /// Which scheduling kernel executes the specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimKernel {
-    /// Sensitivity-driven wakeups, timer heap, pending-child counts.
-    #[default]
+    /// The event scheduler running the tree-walking AST interpreter.
     EventDriven,
     /// The original polling scheduler: every round re-evaluates every
     /// blocked condition. Kept as an executable reference for
     /// equivalence testing and as the bench baseline.
     RoundRobin,
-    /// The event-driven scheduler running behaviors lowered to flat
-    /// bytecode with slot-interned state (see [`crate::compile`]) —
-    /// the fastest kernel on every benched workload.
+    /// The event scheduler running behaviors lowered to flat bytecode
+    /// with slot-interned state (see [`crate::compile`]) — the fastest
+    /// kernel on every benched workload, and the default.
+    #[default]
     Compiled,
 }
 
@@ -105,7 +106,7 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             max_steps: 5_000_000,
-            kernel: SimKernel::EventDriven,
+            kernel: SimKernel::default(),
             trace: false,
         }
     }
@@ -120,72 +121,353 @@ pub struct Simulator<'a> {
     config: SimConfig,
 }
 
-/// Per-variable (or per-signal) lists of blocked processes, entries
-/// stamped `(pid, block epoch)`. Entries go stale when the process wakes
-/// (epoch bump) and are purged lazily: during wake scans, and by
-/// amortized compaction when a list doubles past its last known live
-/// size — so lists for never-written variables cannot grow unboundedly.
-/// Shared by the event-driven and compiled kernels.
-pub(crate) struct WaiterTable {
-    lists: Vec<Vec<(usize, u64)>>,
-    compact_at: Vec<usize>,
+/// Why a running process stopped (see [`Executor::run`]).
+#[derive(Debug)]
+pub(crate) enum Yield<'a> {
+    /// Blocked at a `wait until` site whose condition was false.
+    Wait(u32),
+    /// Sleeping until the given absolute time.
+    Sleep(u64),
+    /// Needs child processes for these behaviors, and waits for the
+    /// non-server ones to complete.
+    Spawn(&'a [BehaviorId]),
+    /// The process's behavior completed.
+    Completed,
 }
 
-impl WaiterTable {
-    const MIN_COMPACT: usize = 16;
+/// How the event scheduler executes processes. Implemented by the AST
+/// interpreter ([`Interpreter`]) and the bytecode executor
+/// ([`crate::compile::exec::Bytecode`]); the scheduler owns everything
+/// else — statuses, waiter lists, the timer heap, process trees.
+pub(crate) trait Executor<'a> {
+    /// One process's execution state.
+    type Proc;
+    /// Whether the kernel reports `instrs` and `dispatches` (one
+    /// instruction per micro-step).
+    const COUNTS_INSTRS: bool;
+    /// Starts a process executing `behavior`.
+    fn spawn(&mut self, behavior: BehaviorId) -> Self::Proc;
+    /// Runs `proc` until it stops, counting every micro-step in `steps`
+    /// and failing past `max_steps`.
+    fn run(
+        &mut self,
+        proc: &mut Self::Proc,
+        state: &mut SharedState,
+        now: u64,
+        steps: &mut u64,
+        max_steps: u64,
+    ) -> Result<Yield<'a>, SimError>;
+    /// Evaluates the condition of `site`, where `proc` is blocked.
+    fn eval_site(
+        &mut self,
+        proc: &Self::Proc,
+        site: u32,
+        state: &SharedState,
+    ) -> Result<bool, SimError>;
+    /// The sensitivity lists of `site`: variable slots, signal slots.
+    fn sensitivity(&self, site: u32) -> (&[u32], &[u32]);
+}
 
-    pub(crate) fn new(n: usize) -> Self {
+/// A process's status under the event scheduler.
+#[derive(Debug)]
+enum Wait {
+    Ready,
+    /// Blocked at a `wait until` site.
+    Until(u32),
+    /// Sleeping until the given absolute time.
+    Time(u64),
+    /// Waiting for its latest spawned children.
+    Children,
+    Done,
+}
+
+/// One process under the event scheduler: the executor's state plus the
+/// scheduler's bookkeeping.
+#[derive(Debug)]
+struct Task<P> {
+    exec: P,
+    status: Wait,
+    behavior: BehaviorId,
+    is_server: bool,
+    parent: Option<usize>,
+    /// The process ids of the latest spawned children. Earlier groups
+    /// are all done: a process spawns again only after its last group
+    /// finished and that group's servers were killed.
+    children: Range<usize>,
+    /// Non-server children still running, while `Children`.
+    pending: usize,
+    /// Wait sites whose waiter lists already hold this process.
+    registered: Vec<u32>,
+    /// Whether the process is queued for a condition re-check this
+    /// round (dedups a process sensitive to several written slots).
+    queued: bool,
+}
+
+impl<P> Task<P> {
+    fn new(spec: &Spec, behavior: BehaviorId, exec: P, parent: Option<usize>) -> Self {
         Self {
-            lists: vec![Vec::new(); n],
-            compact_at: vec![Self::MIN_COMPACT; n],
+            exec,
+            status: Wait::Ready,
+            behavior,
+            is_server: spec.behavior(behavior).is_server(),
+            parent,
+            children: 0..0,
+            pending: 0,
+            registered: Vec::new(),
+            queued: false,
         }
-    }
-
-    pub(crate) fn add(
-        &mut self,
-        idx: usize,
-        pid: usize,
-        epoch: u64,
-        live: impl Fn(usize, u64) -> bool,
-    ) {
-        let list = &mut self.lists[idx];
-        list.push((pid, epoch));
-        if list.len() >= self.compact_at[idx] {
-            list.retain(|&(p, e)| live(p, e));
-            self.compact_at[idx] = (list.len() * 2).max(Self::MIN_COMPACT);
-        }
-    }
-
-    /// Collects the live waiters of `idx` into `out` (deduplicated via
-    /// `seen`), dropping stale entries as it goes.
-    pub(crate) fn scan(
-        &mut self,
-        idx: usize,
-        out: &mut Vec<usize>,
-        seen: &mut [bool],
-        live: impl Fn(usize, u64) -> bool,
-    ) {
-        let list = &mut self.lists[idx];
-        list.retain(|&(p, e)| {
-            if live(p, e) {
-                if !seen[p] {
-                    seen[p] = true;
-                    out.push(p);
-                }
-                true
-            } else {
-                false
-            }
-        });
-        self.compact_at[idx] = (list.len() * 2).max(Self::MIN_COMPACT);
     }
 }
 
-impl std::fmt::Debug for WaiterTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WaiterTable")
-            .field("lists", &self.lists.len())
-            .finish()
+/// Queues the live waiters of one list for a re-check, pruning entries
+/// of finished processes. Pruning reorders the list, which only permutes
+/// the `recheck` order: re-evaluation is read-only and the woken set is
+/// sorted before dispatch.
+#[inline]
+fn scan<P>(list: &mut Vec<(usize, u32)>, tasks: &mut [Task<P>], recheck: &mut Vec<usize>) {
+    let mut k = 0;
+    while k < list.len() {
+        let (p, site) = list[k];
+        let task = &mut tasks[p];
+        match task.status {
+            Wait::Done => {
+                list.swap_remove(k);
+                continue;
+            }
+            Wait::Until(s) if s == site && !task.queued => {
+                task.queued = true;
+                recheck.push(p);
+            }
+            _ => {}
+        }
+        k += 1;
+    }
+}
+
+/// Records wake events for `pids` (already in pid order).
+fn trace_wakes<P>(state: &mut SharedState, tasks: &[Task<P>], pids: &[usize]) {
+    if state.trace.is_some() {
+        for &pid in pids {
+            state.trace_wake(pid, tasks[pid].behavior.index());
+        }
+    }
+}
+
+/// The event scheduler: runs `spec` to completion of its top behavior
+/// with `exec` executing every process.
+fn run_events<'a, E: Executor<'a>>(
+    spec: &'a Spec,
+    config: &SimConfig,
+    mut exec: E,
+) -> Result<SimResult, SimError> {
+    let mut state = SharedState::init(spec);
+    if config.trace {
+        state.enable_trace();
+    }
+    state.activations[spec.top().index()] += 1;
+    let mut tasks = vec![Task::new(spec, spec.top(), exec.spawn(spec.top()), None)];
+    let mut now: u64 = 0;
+    let mut steps: u64 = 0;
+    let mut dispatches: u64 = 0;
+    let mut meter = modref_obs::Meter::new(METER_NAMES);
+
+    let mut var_waiters: Vec<Vec<(usize, u32)>> = vec![Vec::new(); spec.variable_count()];
+    let mut sig_waiters: Vec<Vec<(usize, u32)>> = vec![Vec::new(); spec.signal_count()];
+    let mut timers: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+
+    // Round-scratch buffers, reused across rounds.
+    let mut ready: Vec<usize> = vec![0];
+    let mut woken: Vec<usize> = Vec::new();
+    let mut recheck: Vec<usize> = Vec::new();
+    let mut finished_parents: Vec<usize> = Vec::new();
+    let mut kill_list: Vec<usize> = Vec::new();
+    let mut dirty_v: Vec<usize> = Vec::new();
+    let mut dirty_s: Vec<usize> = Vec::new();
+
+    loop {
+        meter.inc(SLOT_ROUNDS);
+
+        // Phase 1: run each ready process until it stops, in ascending
+        // pid order (children spawn with larger pids, so appending
+        // preserves the order the round-robin kernel uses). A process
+        // woken and then killed in the same round stays dead.
+        let mut i = 0;
+        while i < ready.len() {
+            let pid = ready[i];
+            i += 1;
+            let task = &mut tasks[pid];
+            if !matches!(task.status, Wait::Ready) {
+                continue;
+            }
+            dispatches += 1;
+            match exec.run(
+                &mut task.exec,
+                &mut state,
+                now,
+                &mut steps,
+                config.max_steps,
+            )? {
+                Yield::Wait(site) => {
+                    task.status = Wait::Until(site);
+                    // Register once per (process, site). An empty
+                    // sensitivity set means the condition is constant
+                    // while blocked: it was false, stays false, and only
+                    // the deadlock check will ever see it.
+                    if !task.registered.contains(&site) {
+                        task.registered.push(site);
+                        let (vars, sigs) = exec.sensitivity(site);
+                        for &v in vars {
+                            var_waiters[v as usize].push((pid, site));
+                        }
+                        for &sg in sigs {
+                            sig_waiters[sg as usize].push((pid, site));
+                        }
+                    }
+                }
+                Yield::Sleep(t) => {
+                    task.status = Wait::Time(t);
+                    timers.push(Reverse((t, pid)));
+                }
+                Yield::Completed => {
+                    task.status = Wait::Done;
+                    if let (Some(par), false) = (task.parent, task.is_server) {
+                        tasks[par].pending -= 1;
+                        if tasks[par].pending == 0 {
+                            finished_parents.push(par);
+                        }
+                    }
+                }
+                Yield::Spawn(behaviors) => {
+                    let children = tasks.len()..tasks.len() + behaviors.len();
+                    for &c in behaviors {
+                        state.activations[c.index()] += 1;
+                        ready.push(tasks.len());
+                        tasks.push(Task::new(spec, c, exec.spawn(c), Some(pid)));
+                    }
+                    let live = tasks[children.clone()]
+                        .iter()
+                        .filter(|c| !c.is_server)
+                        .count();
+                    let task = &mut tasks[pid];
+                    task.children = children;
+                    task.pending = live;
+                    task.status = Wait::Children;
+                    if live == 0 {
+                        finished_parents.push(pid);
+                    }
+                }
+            }
+        }
+        ready.clear();
+
+        // Phase 2a: re-evaluate only the conditions whose sensitivities
+        // were written this round.
+        dirty_v = state.take_dirty_vars(dirty_v);
+        for &vi in &dirty_v {
+            scan(&mut var_waiters[vi], &mut tasks, &mut recheck);
+        }
+        dirty_s = state.take_dirty_signals(dirty_s);
+        for &si in &dirty_s {
+            scan(&mut sig_waiters[si], &mut tasks, &mut recheck);
+        }
+        for pid in recheck.drain(..) {
+            let task = &mut tasks[pid];
+            task.queued = false;
+            if let Wait::Until(site) = task.status {
+                meter.inc(SLOT_COND_EVALS);
+                if exec.eval_site(&task.exec, site, &state)? {
+                    meter.inc(SLOT_WAKEUPS);
+                    task.status = Wait::Ready;
+                    woken.push(pid);
+                }
+            }
+        }
+
+        // Phase 2b: wake composites whose last counted (non-server)
+        // child completed this round, then terminate their servers (and
+        // anything those spawned) recursively. Kills run after all
+        // wakes, matching the reference kernel's snapshot-then-kill
+        // order.
+        for par in finished_parents.drain(..) {
+            if matches!(tasks[par].status, Wait::Children) {
+                let children = tasks[par].children.clone();
+                kill_list.extend(children.filter(|&c| tasks[c].is_server));
+                tasks[par].status = Wait::Ready;
+                woken.push(par);
+            }
+        }
+        while let Some(k) = kill_list.pop() {
+            if !matches!(tasks[k].status, Wait::Done) {
+                tasks[k].status = Wait::Done;
+                kill_list.extend(tasks[k].children.clone());
+            }
+        }
+
+        // Termination: root process finished.
+        if matches!(tasks[0].status, Wait::Done) {
+            if E::COUNTS_INSTRS {
+                meter.add(SLOT_INSTRS, steps);
+                meter.add(SLOT_DISPATCHES, dispatches);
+            }
+            let trace = state.take_trace();
+            return Ok(SimResult::collect(
+                spec, &state, now, steps, true, &meter, trace,
+            ));
+        }
+
+        if !woken.is_empty() {
+            // Wakes arrive in notification order; restore pid order for
+            // the next round's sweep. Wake events are recorded *after*
+            // the sort so the trace shows the pid order every kernel
+            // dispatches (and the reference kernel wakes) in. (A lone
+            // wake, the common case, skips the sort call.)
+            if woken.len() > 1 {
+                woken.sort_unstable();
+            }
+            trace_wakes(&mut state, &tasks, &woken);
+            std::mem::swap(&mut ready, &mut woken);
+            continue;
+        }
+
+        // Phase 3: advance time via the timer heap, discarding stale
+        // entries (processes killed or re-scheduled since pushing).
+        let next_wake = loop {
+            match timers.peek() {
+                Some(&Reverse((t, pid))) => {
+                    if matches!(tasks[pid].status, Wait::Time(w) if w == t) {
+                        break Some(t);
+                    }
+                    timers.pop();
+                    meter.inc(SLOT_TIMER_POPS);
+                }
+                None => break None,
+            }
+        };
+        let Some(t) = next_wake else {
+            let blocked: Vec<String> = tasks
+                .iter()
+                .filter(|p| !matches!(p.status, Wait::Done))
+                .map(|p| spec.behavior(p.behavior).name().to_string())
+                .collect();
+            return Err(SimError::Deadlock { time: now, blocked });
+        };
+        now = t.max(now);
+        state.trace_time(now);
+        while let Some(&Reverse((t2, pid))) = timers.peek() {
+            if t2 > now {
+                break;
+            }
+            timers.pop();
+            meter.inc(SLOT_TIMER_POPS);
+            if matches!(tasks[pid].status, Wait::Time(w) if w == t2) {
+                tasks[pid].status = Wait::Ready;
+                ready.push(pid);
+            }
+        }
+        if ready.len() > 1 {
+            ready.sort_unstable();
+        }
+        trace_wakes(&mut state, &tasks, &ready);
     }
 }
 
@@ -211,269 +493,16 @@ impl<'a> Simulator<'a> {
     /// * [`SimError::Deadlock`] when all live processes block forever,
     /// * evaluation errors (out-of-bounds indices, unbound parameters).
     pub fn run(&self) -> Result<SimResult, SimError> {
-        let kernel = match self.config.kernel {
-            SimKernel::EventDriven => {
-                Self::run_event_driven as fn(&Self) -> Result<SimResult, SimError>
-            }
-            SimKernel::RoundRobin => Self::run_round_robin,
-            SimKernel::Compiled => Self::run_compiled,
-        };
         let _span = modref_obs::span("sim.run").attr("kernel", self.config.kernel.name());
-        kernel(self)
-    }
-
-    /// The compiled kernel: lower the spec to bytecode, then run the
-    /// event-driven scheduler over compiled processes.
-    fn run_compiled(&self) -> Result<SimResult, SimError> {
-        let program = crate::compile::compile(self.spec);
-        crate::compile::run(self.spec, &program, &self.config)
-    }
-
-    /// The event-driven kernel.
-    fn run_event_driven(&self) -> Result<SimResult, SimError> {
         let spec = self.spec;
-        // Sensitivity sets cached per wait *site*: conditions are borrowed
-        // from the spec, so their addresses identify the site without
-        // hashing the expression tree on every block.
-        let mut sens: HashMap<*const Expr, SensitivitySet> = HashMap::new();
-        let mut state = SharedState::init(spec);
-        if self.config.trace {
-            state.enable_trace();
-        }
-        state.activations[spec.top().index()] += 1;
-        let mut processes: Vec<Process> = vec![Process::new(spec, spec.top())];
-        let mut now: u64 = 0;
-        let mut steps: u64 = 0;
-        let mut meter = modref_obs::Meter::new(METER_NAMES);
-
-        // Scheduler bookkeeping, indexed by process id.
-        let mut parent: Vec<Option<usize>> = vec![None];
-        let mut pending_children: Vec<usize> = vec![0];
-        let mut epoch: Vec<u64> = vec![0];
-        let mut seen: Vec<bool> = vec![false];
-        let mut var_waiters = WaiterTable::new(spec.variable_count());
-        let mut sig_waiters = WaiterTable::new(spec.signal_count());
-        let mut timers: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-
-        // Round-scratch buffers, reused across rounds.
-        let mut ready: Vec<usize> = vec![0];
-        let mut woken: Vec<usize> = Vec::new();
-        let mut recheck: Vec<usize> = Vec::new();
-        let mut finished_parents: Vec<usize> = Vec::new();
-        let mut kill_list: Vec<usize> = Vec::new();
-        let mut dirty_v: Vec<usize> = Vec::new();
-        let mut dirty_s: Vec<usize> = Vec::new();
-
-        loop {
-            meter.inc(SLOT_ROUNDS);
-
-            // Phase 1: step each ready process until it blocks/completes,
-            // in ascending pid order (children spawn with larger pids, so
-            // appending preserves the order the round-robin kernel uses).
-            let mut i = 0;
-            while i < ready.len() {
-                let pid = ready[i];
-                i += 1;
-                while matches!(processes[pid].status, Status::Ready) {
-                    steps += 1;
-                    if steps > self.config.max_steps {
-                        return Err(SimError::StepLimitExceeded {
-                            limit: self.config.max_steps,
-                        });
-                    }
-                    let event = processes[pid].step(spec, &mut state, now)?;
-                    match event {
-                        StepEvent::Progress => {}
-                        StepEvent::Blocked => match processes[pid].status {
-                            Status::WaitUntil(cond) => {
-                                // Register against the condition's
-                                // sensitivity set. An empty set means the
-                                // condition is constant while blocked —
-                                // it was false, stays false, and only the
-                                // deadlock check will ever see it.
-                                let ep = epoch[pid];
-                                let s = sens
-                                    .entry(cond as *const Expr)
-                                    .or_insert_with(|| SensitivitySet::of(cond));
-                                for v in &s.vars {
-                                    var_waiters.add(v.index(), pid, ep, |p, e| {
-                                        epoch[p] == e
-                                            && matches!(processes[p].status, Status::WaitUntil(_))
-                                    });
-                                }
-                                for sg in &s.signals {
-                                    sig_waiters.add(sg.index(), pid, ep, |p, e| {
-                                        epoch[p] == e
-                                            && matches!(processes[p].status, Status::WaitUntil(_))
-                                    });
-                                }
-                            }
-                            Status::WaitTime(t) => timers.push(Reverse((t, pid))),
-                            _ => {}
-                        },
-                        StepEvent::Completed => {
-                            if let Some(par) = parent[pid] {
-                                if !processes[pid].is_server {
-                                    pending_children[par] -= 1;
-                                    if pending_children[par] == 0 {
-                                        finished_parents.push(par);
-                                    }
-                                }
-                            }
-                        }
-                        StepEvent::SpawnChildren(children) => {
-                            let mut ids = Vec::with_capacity(children.len());
-                            let mut live = 0;
-                            for c in children {
-                                let cid = processes.len();
-                                ids.push(cid);
-                                state.activations[c.index()] += 1;
-                                let child = Process::new(spec, c);
-                                if !child.is_server {
-                                    live += 1;
-                                }
-                                processes.push(child);
-                                parent.push(Some(pid));
-                                pending_children.push(0);
-                                epoch.push(0);
-                                seen.push(false);
-                                ready.push(cid);
-                            }
-                            processes[pid].spawned.extend(ids.iter().copied());
-                            pending_children[pid] = live;
-                            processes[pid].status = Status::WaitChildren(ids);
-                            if live == 0 {
-                                finished_parents.push(pid);
-                            }
-                        }
-                    }
-                }
+        match self.config.kernel {
+            SimKernel::Compiled => {
+                let program = crate::compile::compile(spec);
+                let exec = crate::compile::exec::Bytecode::new(spec, &program);
+                run_events(spec, &self.config, exec)
             }
-            ready.clear();
-
-            // Phase 2a: re-evaluate only the conditions whose
-            // sensitivities were actually written this round.
-            dirty_v = state.take_dirty_vars(dirty_v);
-            for &vi in &dirty_v {
-                var_waiters.scan(vi, &mut recheck, &mut seen, |p, e| {
-                    epoch[p] == e && matches!(processes[p].status, Status::WaitUntil(_))
-                });
-            }
-            dirty_s = state.take_dirty_signals(dirty_s);
-            for &si in &dirty_s {
-                sig_waiters.scan(si, &mut recheck, &mut seen, |p, e| {
-                    epoch[p] == e && matches!(processes[p].status, Status::WaitUntil(_))
-                });
-            }
-            for pid in recheck.drain(..) {
-                seen[pid] = false;
-                let p = &processes[pid];
-                let wake = match p.status {
-                    Status::WaitUntil(cond) => {
-                        meter.inc(SLOT_COND_EVALS);
-                        truthy(p.eval(spec, &state, cond)?)
-                    }
-                    _ => false,
-                };
-                if wake {
-                    meter.inc(SLOT_WAKEUPS);
-                    // Bump the epoch so remaining waiter entries go stale.
-                    epoch[pid] += 1;
-                    processes[pid].status = Status::Ready;
-                    woken.push(pid);
-                }
-            }
-
-            // Phase 2b: wake composites whose last counted (non-server)
-            // child completed this round, then terminate their servers
-            // (and anything those spawned) recursively. Kills run after
-            // all wakes, matching the reference kernel's
-            // snapshot-then-kill order.
-            for par in finished_parents.drain(..) {
-                if let Status::WaitChildren(ids) = &processes[par].status {
-                    kill_list.extend(ids.iter().copied().filter(|&c| processes[c].is_server));
-                    epoch[par] += 1;
-                    processes[par].status = Status::Ready;
-                    woken.push(par);
-                }
-            }
-            while let Some(k) = kill_list.pop() {
-                if !matches!(processes[k].status, Status::Done) {
-                    processes[k].status = Status::Done;
-                    kill_list.extend(processes[k].spawned.iter().copied());
-                }
-            }
-
-            // Termination: root process finished.
-            if matches!(processes[0].status, Status::Done) {
-                let trace = state.take_trace();
-                return Ok(SimResult::collect(
-                    spec, &state, now, steps, true, &meter, trace,
-                ));
-            }
-
-            if !woken.is_empty() {
-                // Wakes arrive in notification order; restore pid order
-                // for the next round's sweep. Wake events are recorded
-                // *after* the sort so the trace shows the pid order every
-                // kernel dispatches (and the reference kernel wakes) in.
-                woken.sort_unstable();
-                if state.trace.is_some() {
-                    for &pid in &woken {
-                        let b = processes[pid].behavior.index();
-                        state.trace_wake(pid, b);
-                    }
-                }
-                std::mem::swap(&mut ready, &mut woken);
-                continue;
-            }
-
-            // Phase 3: advance time via the timer heap, discarding stale
-            // entries (processes killed or re-scheduled since pushing).
-            let next_wake = loop {
-                match timers.peek() {
-                    Some(&Reverse((t, pid))) => {
-                        if matches!(processes[pid].status, Status::WaitTime(w) if w == t) {
-                            break Some(t);
-                        }
-                        timers.pop();
-                        meter.inc(SLOT_TIMER_POPS);
-                    }
-                    None => break None,
-                }
-            };
-            match next_wake {
-                Some(t) => {
-                    now = t.max(now);
-                    state.trace_time(now);
-                    while let Some(&Reverse((t2, pid))) = timers.peek() {
-                        if t2 > now {
-                            break;
-                        }
-                        timers.pop();
-                        meter.inc(SLOT_TIMER_POPS);
-                        if matches!(processes[pid].status, Status::WaitTime(w) if w == t2) {
-                            processes[pid].status = Status::Ready;
-                            ready.push(pid);
-                        }
-                    }
-                    ready.sort_unstable();
-                    if state.trace.is_some() {
-                        for &pid in &ready {
-                            let b = processes[pid].behavior.index();
-                            state.trace_wake(pid, b);
-                        }
-                    }
-                }
-                None => {
-                    let blocked: Vec<String> = processes
-                        .iter()
-                        .filter(|p| !matches!(p.status, Status::Done))
-                        .map(|p| p.name.to_string())
-                        .collect();
-                    return Err(SimError::Deadlock { time: now, blocked });
-                }
-            }
+            SimKernel::EventDriven => run_events(spec, &self.config, Interpreter::new(spec)),
+            SimKernel::RoundRobin => self.run_round_robin(),
         }
     }
 
@@ -509,7 +538,7 @@ impl<'a> Simulator<'a> {
                         StepEvent::Blocked | StepEvent::Completed => {}
                         StepEvent::SpawnChildren(children) => {
                             let mut ids = Vec::with_capacity(children.len());
-                            for c in children {
+                            for &c in children {
                                 ids.push(processes.len());
                                 state.activations[c.index()] += 1;
                                 processes.push(Process::new(spec, c));

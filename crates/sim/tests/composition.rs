@@ -2,7 +2,7 @@
 //! fall-through scheduling, cross-process data flow through signals, and
 //! timing interactions.
 
-use modref_sim::{SimError, Simulator};
+use modref_sim::{SimConfig, SimError, SimKernel, Simulator};
 use modref_spec::builder::SpecBuilder;
 use modref_spec::{expr, stmt};
 
@@ -263,4 +263,41 @@ fn activation_profile_counts_loop_visits() {
     assert_eq!(r.activations_of("Top"), Some(1));
     // Iterator view covers every behavior.
     assert_eq!(r.activations().count(), spec.behavior_count());
+}
+
+/// A server woken in the same round its parent's last worker completes
+/// is killed before it can run again: every kernel leaves its counter
+/// untouched.
+#[test]
+fn server_woken_as_its_parent_completes_stays_dead() {
+    let mut b = SpecBuilder::new("killwake");
+    let req = b.signal_bit("req");
+    let x = b.var_int("x", 16, 0);
+    let worker = b.leaf(
+        "Worker",
+        vec![stmt::delay(1), stmt::set_signal(req, expr::lit(1))],
+    );
+    let server = b.leaf_server(
+        "Server",
+        vec![stmt::infinite_loop(vec![
+            stmt::wait_until(expr::eq(expr::signal(req), expr::lit(1))),
+            stmt::assign(x, expr::add(expr::var(x), expr::lit(1))),
+            stmt::wait_until(expr::eq(expr::signal(req), expr::lit(0))),
+        ])],
+    );
+    let top = b.concurrent("Top", vec![worker, server]);
+    let spec = b.finish(top).unwrap();
+    let reference = run(&spec, SimKernel::RoundRobin);
+    assert_eq!(reference.var_by_name("x"), Some(0));
+    for kernel in [SimKernel::EventDriven, SimKernel::Compiled] {
+        assert_eq!(run(&spec, kernel), reference, "{kernel:?}");
+    }
+}
+
+fn run(spec: &modref_spec::Spec, kernel: SimKernel) -> modref_sim::SimResult {
+    let config = SimConfig {
+        kernel,
+        ..SimConfig::default()
+    };
+    Simulator::with_config(spec, config).run().unwrap()
 }
