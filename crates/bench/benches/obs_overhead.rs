@@ -22,7 +22,7 @@
 use std::time::Instant;
 
 use modref_bench::harness::Criterion;
-use modref_bench::{criterion_group, criterion_main};
+use modref_bench::{build_profile, criterion_group, criterion_main, nproc};
 
 use modref_graph::AccessGraph;
 use modref_obs::Event;
@@ -73,7 +73,9 @@ fn json_out(
     sim: &SimTraceRow,
 ) -> String {
     format!(
-        "{{\n  \"bench\": \"obs_overhead\",\n  \"workload\": \"medical explore, 4 seeds, 1 thread\",\n  \"explore_ms_disabled\": {:.3},\n  \"explore_ms_enabled\": {:.3},\n  \"span_disabled_ns\": {:.2},\n  \"counter_disabled_ns\": {:.2},\n  \"spans_per_run\": {},\n  \"counter_bumps_per_run\": {},\n  \"disabled_overhead_pct\": {:.3},\n  \"enabled_overhead_pct\": {:.2},\n  \"disabled_limit_pct\": 2.0,\n  \"enabled_limit_pct\": 10.0,\n  \"sim_workload\": \"ring(8, 12) simulation, default kernel\",\n  \"sim_ms_untraced\": {:.3},\n  \"sim_ms_traced\": {:.3},\n  \"trace_events_per_run\": {},\n  \"trace_check_disabled_ns\": {:.2},\n  \"trace_disabled_overhead_pct\": {:.3},\n  \"trace_enabled_overhead_pct\": {:.2},\n  \"trace_disabled_limit_pct\": 1.0\n}}\n",
+        "{{\n  \"bench\": \"obs_overhead\",\n  \"nproc\": {},\n  \"profile\": \"{}\",\n  \"workload\": \"medical explore, 4 seeds, 1 thread\",\n  \"explore_ms_disabled\": {:.3},\n  \"explore_ms_enabled\": {:.3},\n  \"span_disabled_ns\": {:.2},\n  \"counter_disabled_ns\": {:.2},\n  \"spans_per_run\": {},\n  \"counter_bumps_per_run\": {},\n  \"disabled_overhead_pct\": {:.3},\n  \"enabled_overhead_pct\": {:.2},\n  \"disabled_limit_pct\": 2.0,\n  \"enabled_limit_pct\": 10.0,\n  \"sim_workload\": \"ring(8, 12) simulation, default kernel\",\n  \"sim_ms_untraced\": {:.3},\n  \"sim_ms_traced\": {:.3},\n  \"trace_events_per_run\": {},\n  \"trace_check_disabled_ns\": {:.2},\n  \"trace_disabled_overhead_pct\": {:.3},\n  \"trace_enabled_overhead_pct\": {:.2},\n  \"trace_disabled_limit_pct\": 1.0\n}}\n",
+        nproc(),
+        build_profile(),
         explore_ns_off / 1e6,
         explore_ns_on / 1e6,
         span_disabled_ns,

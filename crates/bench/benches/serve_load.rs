@@ -20,7 +20,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use modref_bench::harness::Criterion;
-use modref_bench::{criterion_group, criterion_main};
+use modref_bench::{build_profile, criterion_group, criterion_main, nproc};
 
 use modref_core::api::{Request, RequestOp, SpecSource};
 use modref_core::serve::{serve_listener, spec_hash, ServeConfig};
@@ -182,7 +182,9 @@ fn run_level(sessions: usize) -> (Record, Vec<String>) {
 fn json(records: &[Record], saturation_rps: f64) -> String {
     let mut out = String::from("{\n  \"bench\": \"serve\",\n");
     out.push_str(&format!(
-        "  \"requests_per_session\": {REQS_PER_SESSION},\n"
+        "  \"nproc\": {},\n  \"profile\": \"{}\",\n  \"requests_per_session\": {REQS_PER_SESSION},\n",
+        nproc(),
+        build_profile()
     ));
     out.push_str(&format!(
         "  \"saturation_throughput_rps\": {saturation_rps:.1},\n  \"levels\": [\n"

@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use modref_bench::harness::Criterion;
-use modref_bench::{criterion_group, criterion_main};
+use modref_bench::{build_profile, criterion_group, criterion_main, nproc};
 
 use modref_analyze::{analyze_spec, deadlock_lints};
 use modref_spec::{SourceMap, Spec};
@@ -91,7 +91,11 @@ fn bench_static_analysis(c: &mut Criterion) {
         rows.push(measure(&format!("synth{leaves}"), &spec));
     }
 
-    let mut json = String::from("{\n  \"bench\": \"static_analysis\",\n  \"rows\": [\n");
+    let mut json = format!(
+        "{{\n  \"bench\": \"static_analysis\",\n  \"nproc\": {},\n  \"profile\": \"{}\",\n  \"rows\": [\n",
+        nproc(),
+        build_profile()
+    );
     for (i, row) in rows.iter().enumerate() {
         eprintln!(
             "{:>10}: {:>3} behaviors, analyze {:>9.1} ns, deadlock family {:>9.1} ns",

@@ -346,20 +346,37 @@ fn expired_deadline_is_a_timeout_response() {
 #[test]
 fn cancel_kills_an_inflight_explore() {
     let mut child = spawn_serve(&["--workers", "1", "-q"]);
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    stdin
+        .write_all(
+            b"{\"v\":2,\"id\":1,\"op\":\"explore\",\"workload\":\"medical\",\
+              \"seeds\":64,\"stream\":true}\n",
+        )
+        .expect("explore written");
+    stdin.flush().expect("flushed");
+    // The first progress frame proves the explore is running; cancel it
+    // then, however fast the build runs it.
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let mut lines: Vec<String> = Vec::new();
+    while lines
+        .last()
+        .is_none_or(|l| !ProgressFrame::is_progress_line(l))
     {
-        let stdin = child.stdin.as_mut().expect("stdin piped");
-        stdin
-            .write_all(br#"{"id":1,"op":"explore","workload":"medical","seeds":64}"#)
-            .and_then(|()| stdin.write_all(b"\n"))
-            .expect("explore written");
-        stdin.flush().expect("flushed");
-        // Give the worker a moment to pick the explore up, then cancel.
-        thread::sleep(std::time::Duration::from_millis(50));
-        stdin
-            .write_all(b"{\"id\":2,\"op\":\"cancel\",\"target\":1}\n")
-            .expect("cancel written");
+        let mut l = String::new();
+        assert_ne!(stdout.read_line(&mut l).expect("read"), 0, "{lines:?}");
+        lines.push(l.trim_end().to_string());
     }
-    let responses = drain(child);
+    stdin
+        .write_all(b"{\"v\":2,\"id\":2,\"op\":\"cancel\",\"target\":1}\n")
+        .expect("cancel written");
+    drop(stdin);
+    lines.extend(stdout.lines().map(|l| l.expect("responses are UTF-8")));
+    assert!(child.wait().expect("server exits").success());
+    let responses: Vec<Response> = lines
+        .iter()
+        .filter(|l| !ProgressFrame::is_progress_line(l))
+        .map(|l| Response::from_json(l).unwrap_or_else(|e| panic!("bad response `{l}`: {e}")))
+        .collect();
     assert_eq!(responses.len(), 2, "explore error + cancel ack");
     let explore = responses.iter().find(|r| r.id == 1).expect("id 1 answered");
     assert_eq!(error_code(explore), Some("cancelled"));

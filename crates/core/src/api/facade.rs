@@ -3,6 +3,7 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use modref_analyze::{analyze_spec, sort_canonical, Diagnostic, LintConfig};
 use modref_graph::AccessGraph;
@@ -25,7 +26,7 @@ use super::error::ModrefError;
 pub enum Stop {
     /// [`CancelToken::cancel`] was called (a `cancel` request).
     Cancelled,
-    /// [`CancelToken::expire`] was called (the deadline reaper fired).
+    /// The token's deadline ([`CancelToken::with_deadline`]) passed.
     Expired,
 }
 
@@ -42,23 +43,28 @@ impl From<Stop> for ModrefError {
 ///
 /// Clone the token, hand one clone to the operation (via
 /// [`ExploreOpts::cancel`] / [`VerifyOpts::cancel`]) and keep the other;
-/// [`cancel`](CancelToken::cancel) or [`expire`](CancelToken::expire)
-/// from any thread makes the operation return
-/// [`ModrefError::Cancelled`] / [`ModrefError::Timeout`] at its next
-/// checkpoint (between exploration seeds or verification jobs). The
-/// first stop reason wins and is sticky.
+/// [`cancel`](CancelToken::cancel) from any thread, or the deadline of a
+/// token made with [`with_deadline`](CancelToken::with_deadline)
+/// passing, makes the operation return [`ModrefError::Cancelled`] /
+/// [`ModrefError::Timeout`] at its next checkpoint (per partition-search
+/// job, rated candidate, verification job or batch item). The first
+/// stop reason wins and is sticky.
 ///
 /// ```
+/// use std::time::{Duration, Instant};
 /// use modref_core::api::{CancelToken, Stop};
-/// let t = CancelToken::new();
+/// let t = CancelToken::with_deadline(Instant::now() + Duration::from_secs(60));
 /// assert_eq!(t.stopped(), None);
 /// t.cancel();
-/// t.expire(); // too late — the first reason sticks
 /// assert_eq!(t.stopped(), Some(Stop::Cancelled));
+/// let late = CancelToken::with_deadline(Instant::now());
+/// late.cancel(); // too late — the deadline already passed
+/// assert_eq!(late.stopped(), Some(Stop::Expired));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     state: Arc<AtomicU8>,
+    deadline: Option<Instant>,
 }
 
 const RUNNING: u8 = 0;
@@ -66,28 +72,49 @@ const CANCELLED: u8 = 1;
 const EXPIRED: u8 = 2;
 
 impl CancelToken {
-    /// A fresh, un-stopped token.
+    /// A fresh, un-stopped token without a deadline.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Requests cooperative cancellation. No-op if already stopped.
+    /// A fresh token that stops with [`Stop::Expired`] once `deadline`
+    /// has passed. Clones share the deadline.
+    pub fn with_deadline(deadline: Instant) -> Self {
+        Self {
+            deadline: Some(deadline),
+            ..Self::default()
+        }
+    }
+
+    /// Requests cooperative cancellation. No-op if already stopped,
+    /// including by a deadline that has passed.
     pub fn cancel(&self) {
-        let _ =
-            self.state
-                .compare_exchange(RUNNING, CANCELLED, Ordering::Relaxed, Ordering::Relaxed);
+        if self.stopped().is_none() {
+            let _ = self.state.compare_exchange(
+                RUNNING,
+                CANCELLED,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
+        }
     }
 
-    /// Marks the deadline as exceeded. No-op if already stopped.
-    pub fn expire(&self) {
-        let _ = self
-            .state
-            .compare_exchange(RUNNING, EXPIRED, Ordering::Relaxed, Ordering::Relaxed);
-    }
-
-    /// The stop reason, if any. One relaxed atomic load.
+    /// The stop reason, if any: one relaxed atomic load, plus one clock
+    /// read while a token with a deadline is still running.
     pub fn stopped(&self) -> Option<Stop> {
-        match self.state.load(Ordering::Relaxed) {
+        let mut state = self.state.load(Ordering::Relaxed);
+        if state == RUNNING && self.deadline.is_some_and(|d| Instant::now() >= d) {
+            state = match self.state.compare_exchange(
+                RUNNING,
+                EXPIRED,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => EXPIRED,
+                Err(first) => first,
+            };
+        }
+        match state {
             CANCELLED => Some(Stop::Cancelled),
             EXPIRED => Some(Stop::Expired),
             _ => None,
@@ -950,7 +977,9 @@ mod tests {
     fn cancel_token_first_reason_wins() {
         let t = CancelToken::new();
         assert!(t.check().is_ok());
-        t.expire();
+        t.cancel();
+        assert_eq!(t.stopped(), Some(Stop::Cancelled));
+        let t = CancelToken::with_deadline(Instant::now());
         t.cancel();
         assert_eq!(t.stopped(), Some(Stop::Expired));
         assert_eq!(t.check().unwrap_err(), ModrefError::Timeout);

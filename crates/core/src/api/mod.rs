@@ -14,7 +14,8 @@
 //! * [`Request`] / [`Response`] — the JSONL wire protocol of
 //!   `modref serve`, decoded and encoded without panicking;
 //! * [`CancelToken`] — cooperative cancellation for the long-running
-//!   operations, shared by deadlines (`expire`) and `cancel` requests.
+//!   operations, shared by `cancel` requests and deadlines, which travel
+//!   inside the token ([`CancelToken::with_deadline`]).
 //!
 //! Options structs ([`ExploreOpts`], [`VerifyOpts`], [`LintOpts`],
 //! [`SimOpts`]) are `#[non_exhaustive]` builders, so new knobs can be

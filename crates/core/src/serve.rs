@@ -31,14 +31,17 @@
 //! dead server:
 //!
 //! * **deadlines** — each request may carry `deadline_ms` (or inherit
-//!   [`ServeConfig::default_deadline_ms`]); a reaper thread expires the
-//!   request's [`CancelToken`] when time runs out and the client gets a
-//!   `timeout` error;
+//!   [`ServeConfig::default_deadline_ms`]); the deadline travels in the
+//!   request's [`CancelToken`], which the operation polls at its coarse
+//!   checkpoints, and the client gets a `timeout` error;
 //! * **cancellation** — a `cancel` request flips the target's token
 //!   (ids are scoped per connection); in-flight explorations stop at
 //!   their next checkpoint and answer with a `cancelled` error, while
 //!   the cancel itself is acknowledged immediately from the reader
 //!   thread;
+//! * **bounded input** — a request line over 16 MiB is answered with
+//!   `invalid_request` and ends its connection's input; a line of
+//!   non-UTF-8 garbage is answered the same way and reading goes on;
 //! * **disconnect drain** — a client that half-closes its write side
 //!   still receives every in-flight response; a client whose socket
 //!   *fails on write* is gone, so all of its in-flight work is
@@ -85,7 +88,7 @@ mod cache;
 pub use cache::spec_hash;
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -94,6 +97,7 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use modref_obs::{Counter, Histogram};
 use modref_spec::Spec;
 
 use crate::api::{
@@ -103,8 +107,8 @@ use crate::api::{
 
 use cache::SpecCache;
 
-/// How often the deadline reaper scans in-flight requests.
-const REAPER_TICK: Duration = Duration::from_millis(2);
+/// The longest request line read, newline excluded (16 MiB).
+const MAX_LINE: u64 = 16 << 20;
 
 /// Server configuration. `#[non_exhaustive]` — construct with
 /// [`ServeConfig::default`] and the builder methods.
@@ -222,42 +226,52 @@ impl ServeStats {
     }
 }
 
-#[derive(Default)]
-struct AtomicStats {
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    errors: AtomicU64,
-    cancelled: AtomicU64,
-    timeouts: AtomicU64,
-    overloaded: AtomicU64,
-    malformed: AtomicU64,
+/// One counted serve event: [`Core::count`] adds it to the session's
+/// tally (which [`ServeStats`] reports) and to its `serve.*` counter.
+#[derive(Clone, Copy)]
+enum Count {
+    Accepted,
+    Completed,
+    Errors,
+    Cancelled,
+    Timeouts,
+    Overloaded,
+    Malformed,
+    Connections,
+    Disconnects,
+    CancelRequests,
 }
 
-impl AtomicStats {
-    fn snapshot(&self) -> ServeStats {
-        ServeStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            overloaded: self.overloaded.load(Ordering::Relaxed),
-            malformed: self.malformed.load(Ordering::Relaxed),
-        }
-    }
-}
+/// The trace counter of each [`Count`], in declaration order.
+const COUNTERS: [&str; 10] = [
+    "serve.accepted",
+    "serve.completed",
+    "serve.errors",
+    "serve.cancelled",
+    "serve.timeout",
+    "serve.overloaded",
+    "serve.malformed",
+    "serve.connections",
+    "serve.disconnects",
+    "serve.cancel_requests",
+];
 
 /// In-flight request registry, keyed `(connection id, request id)` —
 /// request ids are client-chosen and only unique per connection.
-type Registry = Mutex<HashMap<(u64, u64), (CancelToken, Option<Instant>)>>;
+type Registry = Mutex<HashMap<(u64, u64), CancelToken>>;
 
 /// The state every connection and worker shares: configuration, the
-/// spec cache, the in-flight registry and the counters.
+/// spec cache, the in-flight registry, the session's own counts (kept
+/// whether or not the recorder is on) and its interned trace handles.
 struct Core<'c> {
     cfg: &'c ServeConfig,
     cache: SpecCache,
     registry: Registry,
-    stats: AtomicStats,
+    tally: [AtomicU64; COUNTERS.len()],
+    counters: [Counter; COUNTERS.len()],
+    queue_ns: Histogram,
+    exec_ns: Histogram,
+    request_ns: Histogram,
     session_span: u64,
 }
 
@@ -267,8 +281,32 @@ impl<'c> Core<'c> {
             cfg,
             cache: SpecCache::new(cfg.cache_capacity),
             registry: Mutex::new(HashMap::new()),
-            stats: AtomicStats::default(),
+            tally: Default::default(),
+            counters: COUNTERS.map(modref_obs::counter),
+            queue_ns: modref_obs::histogram("serve.queue_ns"),
+            exec_ns: modref_obs::histogram("serve.exec_ns"),
+            request_ns: modref_obs::histogram("serve.request_ns"),
             session_span,
+        }
+    }
+
+    /// Records one counted event.
+    fn count(&self, event: Count) {
+        self.tally[event as usize].fetch_add(1, Ordering::Relaxed);
+        self.counters[event as usize].inc();
+    }
+
+    fn stats(&self) -> ServeStats {
+        let [accepted, completed, errors, cancelled, timeouts, overloaded, malformed, ..] =
+            self.tally.each_ref().map(|n| n.load(Ordering::Relaxed));
+        ServeStats {
+            accepted,
+            completed,
+            errors,
+            cancelled,
+            timeouts,
+            overloaded,
+            malformed,
         }
     }
 
@@ -299,8 +337,8 @@ impl<'c> Core<'c> {
 
     /// Cancels every in-flight request of a disconnected connection.
     fn cancel_conn(&self, conn_id: u64) {
-        modref_obs::counter("serve.disconnects").inc();
-        for ((conn, _), (token, _)) in lock(&self.registry).iter() {
+        self.count(Count::Disconnects);
+        for ((conn, _), token) in lock(&self.registry).iter() {
             if *conn == conn_id {
                 token.cancel();
             }
@@ -374,40 +412,39 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// The one session path of both transports: builds the [`Core`] and
+/// the worker pool, and feeds the queue through the transport's `feed`.
+/// When `feed` returns its senders are gone, so the workers drain the
+/// queue; they are joined and their results discarded (panic isolation).
+fn run_session<'w, T>(
+    cfg: &ServeConfig,
+    feed: impl FnOnce(&Core<'_>, SyncSender<Job<'w>>) -> T,
+) -> (ServeStats, T) {
+    let session = modref_obs::span("serve.session").attr("workers", cfg.workers.max(1));
+    let core = Core::new(cfg, session.id());
+    let (tx, rx) = mpsc::sync_channel::<Job<'w>>(cfg.queue.max(1));
+    let rx = Mutex::new(rx);
+    let fed = thread::scope(|s| {
+        let workers: Vec<_> = (0..cfg.workers.max(1))
+            .map(|_| s.spawn(|| worker_loop(&rx, &core)))
+            .collect();
+        let fed = feed(&core, tx);
+        for w in workers {
+            let _ = w.join();
+        }
+        fed
+    });
+    drop(session);
+    (core.stats(), fed)
+}
+
 /// Runs one serve session: reads request lines from `reader` until end
 /// of input, answers on `writer`, drains queued work, and returns the
 /// session's [`ServeStats`]. See the [module docs](self) for the
 /// serving and robustness model and an example.
 pub fn serve<R: BufRead, W: Write + Send>(reader: R, writer: W, cfg: &ServeConfig) -> ServeStats {
-    let session = modref_obs::span("serve.session").attr("workers", cfg.workers.max(1));
-    let core = Core::new(cfg, session.id());
     let conn = Arc::new(Conn::new(0, Box::new(writer)));
-    let (tx, rx) = mpsc::sync_channel::<Job<'_>>(cfg.queue.max(1));
-    let rx = Mutex::new(rx);
-    let drained = AtomicBool::new(false);
-
-    thread::scope(|s| {
-        let workers: Vec<_> = (0..cfg.workers.max(1))
-            .map(|_| s.spawn(|| worker_loop(&rx, &core)))
-            .collect();
-        let reaper = s.spawn(|| {
-            while !drained.load(Ordering::Relaxed) {
-                reap_deadlines(&core.registry);
-                thread::sleep(REAPER_TICK);
-            }
-        });
-
-        read_loop(reader, &conn, &tx, &core);
-
-        drop(tx); // close the queue: workers drain and exit
-        for w in workers {
-            let _ = w.join();
-        }
-        drained.store(true, Ordering::Relaxed);
-        let _ = reaper.join();
-    });
-    drop(session);
-    core.stats.snapshot()
+    run_session(cfg, |core, tx| read_loop(reader, &conn, &tx, core)).0
 }
 
 /// Serves one session over stdin/stdout (the `modref serve --stdio`
@@ -425,90 +462,73 @@ pub fn serve_stdio(cfg: &ServeConfig) -> ServeStats {
 /// [`ServeConfig::max_connections`] connections (forever when `None`),
 /// drains, and returns the pooled [`ServeStats`].
 pub fn serve_listener(listener: TcpListener, cfg: &ServeConfig) -> std::io::Result<ServeStats> {
-    let session = modref_obs::span("serve.session").attr("workers", cfg.workers.max(1));
-    let core = Core::new(cfg, session.id());
-    let (tx, rx) = mpsc::sync_channel::<Job<'static>>(cfg.queue.max(1));
-    let rx = Mutex::new(rx);
-    let drained = AtomicBool::new(false);
-    let mut accept_err = None;
-
-    thread::scope(|s| {
-        let core = &core;
-        let rx = &rx;
-        let workers: Vec<_> = (0..cfg.workers.max(1))
-            .map(|_| s.spawn(move || worker_loop(rx, core)))
-            .collect();
-        let reaper = s.spawn(|| {
-            while !drained.load(Ordering::Relaxed) {
-                reap_deadlines(&core.registry);
-                thread::sleep(REAPER_TICK);
+    let (stats, fed) = run_session(cfg, |core, tx| {
+        thread::scope(|s| {
+            let mut readers: Vec<thread::ScopedJoinHandle<()>> = Vec::new();
+            let fed = (1u64..)
+                .take_while(|&n| cfg.max_connections.is_none_or(|max| n <= max as u64))
+                .try_for_each(|conn_id| {
+                    let (stream, _) = listener.accept()?;
+                    core.count(Count::Connections);
+                    // Replies are whole lines written at once; Nagle would
+                    // only hold each one back until the client's next ack.
+                    let _ = stream.set_nodelay(true);
+                    // Join ended readers, discarding their results: a
+                    // panicked reader ends its connection, not the server.
+                    for done in readers.extract_if(.., |r| r.is_finished()) {
+                        let _ = done.join();
+                    }
+                    let tx = tx.clone();
+                    readers.push(s.spawn(move || {
+                        let Ok(read_half) = stream.try_clone() else {
+                            return;
+                        };
+                        let conn = Arc::new(Conn::new(conn_id, Box::new(stream)));
+                        read_loop(BufReader::new(read_half), &conn, &tx, core);
+                    }));
+                    Ok(())
+                });
+            for r in readers {
+                let _ = r.join();
             }
-        });
-
-        let mut readers = Vec::new();
-        let mut accepted = 0usize;
-        while cfg.max_connections.is_none_or(|max| accepted < max) {
-            let (stream, _) = match listener.accept() {
-                Ok(conn) => conn,
-                Err(e) => {
-                    accept_err = Some(e);
-                    break;
-                }
-            };
-            accepted += 1;
-            modref_obs::counter("serve.connections").inc();
-            // Replies are whole lines written at once; Nagle would only
-            // hold each one back until the client's next acknowledgement.
-            let _ = stream.set_nodelay(true);
-            let conn_id = accepted as u64;
-            let tx = tx.clone();
-            readers.push(s.spawn(move || {
-                let Ok(read_half) = stream.try_clone() else {
-                    return;
-                };
-                let conn = Arc::new(Conn::new(conn_id, Box::new(stream)));
-                read_loop(BufReader::new(read_half), &conn, &tx, core);
-            }));
-        }
-        for r in readers {
-            let _ = r.join();
-        }
-        drop(tx); // all reader clones are gone too: workers drain and exit
-        for w in workers {
-            let _ = w.join();
-        }
-        drained.store(true, Ordering::Relaxed);
-        let _ = reaper.join();
+            fed
+        })
     });
-    drop(session);
-    match accept_err {
-        Some(e) => Err(e),
-        None => Ok(core.stats.snapshot()),
-    }
+    fed.map(|()| stats)
 }
 
-/// The reader half of one connection: decodes lines, acknowledges
-/// cancels inline, and enqueues everything else with backpressure. End
-/// of input (including a TCP half-close) just stops reading — in-flight
-/// responses still drain to the writer.
+/// The reader half of one connection: reads lines of at most
+/// [`MAX_LINE`] bytes, acknowledges cancels inline, and enqueues
+/// everything else with backpressure. End of input (including a TCP
+/// half-close) just stops reading — in-flight responses still drain to
+/// the writer.
 fn read_loop<'w, R: BufRead>(
-    reader: R,
+    mut reader: R,
     conn: &Arc<Conn<'w>>,
     tx: &SyncSender<Job<'w>>,
     core: &Core<'_>,
 ) {
-    for line in reader.lines() {
-        let Ok(line) = line else {
-            break; // unreadable input stream: drain and exit
-        };
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let read = (&mut reader).take(MAX_LINE + 1).read_until(b'\n', &mut buf);
+        if !read.is_ok_and(|n| n > 0) {
+            break; // end of input or an unreadable stream: drain and exit
+        }
+        if buf.len() as u64 > MAX_LINE && buf.last() != Some(&b'\n') {
+            core.count(Count::Malformed);
+            let e = ModrefError::InvalidRequest(format!("request line exceeds {MAX_LINE} bytes"));
+            conn.send(core, &Response::err(0, &e).to_json_line());
+            break; // the rest of the line is unframed: stop reading
+        }
+        let line = String::from_utf8_lossy(&buf);
         if line.trim().is_empty() {
             continue;
         }
         let req = match Request::from_json(&line) {
             Ok(req) => req,
             Err(e) => {
-                core.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                modref_obs::counter("serve.malformed").inc();
+                core.count(Count::Malformed);
                 // Salvage the id when the object had one, so the client
                 // can still correlate; 0 otherwise.
                 let id = modref_obs::json::parse(&line)
@@ -525,33 +545,32 @@ fn read_loop<'w, R: BufRead>(
 
         if let RequestOp::Cancel { target } = req.op {
             let found = match lock(&core.registry).get(&(conn.id, target)) {
-                Some((token, _)) => {
+                Some(token) => {
                     token.cancel();
                     true
                 }
                 None => false,
             };
-            modref_obs::counter("serve.cancel_requests").inc();
+            core.count(Count::CancelRequests);
             let resp = Response::ok(req.id, ResponseBody::Cancelled { target, found });
             conn.send(core, &resp.to_json_line());
             continue;
         }
 
-        let token = CancelToken::new();
-        let deadline = req
-            .deadline_ms
-            .or(core.cfg.default_deadline_ms)
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
+        let token = match req.deadline_ms.or(core.cfg.default_deadline_ms) {
+            Some(ms) => CancelToken::with_deadline(Instant::now() + Duration::from_millis(ms)),
+            None => CancelToken::new(),
+        };
         {
             let mut reg = lock(&core.registry);
             if reg.contains_key(&(conn.id, req.id)) {
                 drop(reg);
                 let e = ModrefError::InvalidRequest(format!("id {} is already in flight", req.id));
-                core.stats.malformed.fetch_add(1, Ordering::Relaxed);
+                core.count(Count::Malformed);
                 conn.send(core, &Response::err(req.id, &e).to_json_line());
                 continue;
             }
-            reg.insert((conn.id, req.id), (token.clone(), deadline));
+            reg.insert((conn.id, req.id), token.clone());
         }
 
         let id = req.id;
@@ -562,14 +581,10 @@ fn read_loop<'w, R: BufRead>(
             enqueued: Instant::now(),
         };
         match tx.try_send(job) {
-            Ok(()) => {
-                core.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                modref_obs::counter("serve.accepted").inc();
-            }
+            Ok(()) => core.count(Count::Accepted),
             Err(TrySendError::Full(_)) => {
                 lock(&core.registry).remove(&(conn.id, id));
-                core.stats.overloaded.fetch_add(1, Ordering::Relaxed);
-                modref_obs::counter("serve.overloaded").inc();
+                core.count(Count::Overloaded);
                 let e = ModrefError::Overloaded {
                     capacity: core.cfg.queue.max(1),
                 };
@@ -583,16 +598,6 @@ fn read_loop<'w, R: BufRead>(
     }
 }
 
-/// Expires the token of every in-flight request whose deadline passed.
-fn reap_deadlines(registry: &Registry) {
-    let now = Instant::now();
-    for (token, deadline) in lock(registry).values() {
-        if deadline.is_some_and(|d| d <= now) {
-            token.expire();
-        }
-    }
-}
-
 /// The worker half: dequeues jobs, executes them with panic isolation
 /// (streaming progress frames when asked to), and emits the response on
 /// the job's own connection.
@@ -602,8 +607,8 @@ fn worker_loop<'w>(rx: &Mutex<mpsc::Receiver<Job<'w>>>, core: &Core<'_>) {
         let Ok(job) = job else {
             return; // queue closed and drained
         };
-        let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
-        modref_obs::histogram("serve.queue_ns").record(queue_ns);
+        core.queue_ns
+            .record(job.enqueued.elapsed().as_nanos() as u64);
         let span = modref_obs::span_under(core.session_span, "serve.request")
             .attr("op", job.req.op.name())
             .attr("request_id", job.req.id)
@@ -623,28 +628,21 @@ fn worker_loop<'w>(rx: &Mutex<mpsc::Receiver<Job<'w>>>, core: &Core<'_>) {
             }))
             .unwrap_or_else(|payload| Err(ModrefError::Internal(panic_message(payload))))
         };
-        modref_obs::histogram("serve.exec_ns").record(started.elapsed().as_nanos() as u64);
-        modref_obs::histogram("serve.request_ns").record(job.enqueued.elapsed().as_nanos() as u64);
+        core.exec_ns.record(started.elapsed().as_nanos() as u64);
+        core.request_ns
+            .record(job.enqueued.elapsed().as_nanos() as u64);
 
         lock(&core.registry).remove(&(job.conn.id, job.req.id));
         let resp = match result {
             Ok(body) => {
-                core.stats.completed.fetch_add(1, Ordering::Relaxed);
-                modref_obs::counter("serve.completed").inc();
+                core.count(Count::Completed);
                 Response::ok(job.req.id, body)
             }
             Err(e) => {
-                core.stats.errors.fetch_add(1, Ordering::Relaxed);
-                modref_obs::counter("serve.errors").inc();
+                core.count(Count::Errors);
                 match e {
-                    ModrefError::Cancelled => {
-                        core.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-                        modref_obs::counter("serve.cancelled").inc();
-                    }
-                    ModrefError::Timeout => {
-                        core.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                        modref_obs::counter("serve.timeout").inc();
-                    }
+                    ModrefError::Cancelled => core.count(Count::Cancelled),
+                    ModrefError::Timeout => core.count(Count::Timeouts),
                     _ => {}
                 }
                 Response::err(job.req.id, &e)
@@ -864,9 +862,9 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    fn run(input: &str, cfg: &ServeConfig) -> (ServeStats, Vec<Response>) {
+    fn run(input: impl AsRef<[u8]>, cfg: &ServeConfig) -> (ServeStats, Vec<Response>) {
         let mut out = Vec::new();
-        let stats = serve(Cursor::new(input.as_bytes().to_vec()), &mut out, cfg);
+        let stats = serve(Cursor::new(input.as_ref()), &mut out, cfg);
         let text = String::from_utf8(out).expect("utf8 output");
         let responses = text
             .lines()
@@ -937,6 +935,37 @@ mod tests {
         // The malformed line got a structured reply with id 0.
         assert_eq!(error_code(&responses, 0), "invalid_request");
         assert_eq!(responses.len(), 6, "one response per line, none dropped");
+    }
+
+    #[test]
+    fn non_utf8_garbage_is_answered_and_reading_continues() {
+        let mut input = b"\xff\xfe x\n".to_vec();
+        input.extend_from_slice(line(7, r#""op":"parse","workload":"fig2""#).as_bytes());
+        let (stats, responses) = run(input, &cfg().workers(1));
+        assert_eq!(responses.len(), 2, "{responses:?}");
+        assert_eq!(error_code(&responses, 0), "invalid_request");
+        assert!(matches!(body_of(&responses, 7), ResponseBody::Parsed(_)));
+        assert_eq!(stats.accepted + stats.overloaded + stats.malformed, 2);
+    }
+
+    #[test]
+    fn over_long_line_is_answered_and_ends_the_connection() {
+        let max = MAX_LINE as usize;
+        // A request padded to exactly the cap is still read ...
+        let mut input = line(1, r#""op":"parse","workload":"fig2""#).into_bytes();
+        input.pop();
+        input.resize(max, b' ');
+        input.push(b'\n');
+        // ... one byte more is answered, and nothing after it is read.
+        input.resize(input.len() + max + 1, b' ');
+        input.push(b'\n');
+        input.extend_from_slice(line(2, r#""op":"parse","workload":"fig2""#).as_bytes());
+        let (stats, responses) = run(input, &cfg().workers(1));
+        assert_eq!(responses.len(), 2, "{responses:?}");
+        assert!(matches!(body_of(&responses, 1), ResponseBody::Parsed(_)));
+        assert_eq!(error_code(&responses, 0), "invalid_request");
+        assert_eq!(stats.malformed, 1);
+        assert_eq!(stats.accepted + stats.overloaded + stats.malformed, 2);
     }
 
     #[test]

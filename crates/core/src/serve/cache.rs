@@ -22,6 +22,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use modref_obs::Counter;
+
 use crate::api::{Codesign, ModrefError};
 
 /// The content hash of a spec text: 64-bit FNV-1a, rendered as 16 hex
@@ -52,6 +54,9 @@ struct Inner {
 pub(super) struct SpecCache {
     inner: Mutex<Inner>,
     capacity: usize,
+    hit: Counter,
+    miss: Counter,
+    evict: Counter,
 }
 
 impl SpecCache {
@@ -62,6 +67,9 @@ impl SpecCache {
                 tick: 0,
             }),
             capacity: capacity.max(1),
+            hit: modref_obs::counter("serve.cache.hit"),
+            miss: modref_obs::counter("serve.cache.miss"),
+            evict: modref_obs::counter("serve.cache.evict"),
         }
     }
 
@@ -75,11 +83,11 @@ impl SpecCache {
         match inner.map.get_mut(key) {
             Some(e) => {
                 e.last_used = tick;
-                modref_obs::counter("serve.cache.hit").inc();
+                self.hit.inc();
                 Some(Arc::clone(&e.session))
             }
             None => {
-                modref_obs::counter("serve.cache.miss").inc();
+                self.miss.inc();
                 None
             }
         }
@@ -98,10 +106,10 @@ impl SpecCache {
         let tick = inner.tick;
         if let Some(e) = inner.map.get_mut(key) {
             e.last_used = tick;
-            modref_obs::counter("serve.cache.hit").inc();
+            self.hit.inc();
             return Ok(Arc::clone(&e.session));
         }
-        modref_obs::counter("serve.cache.miss").inc();
+        self.miss.inc();
         let session = Arc::new(build()?);
         inner.map.insert(
             key.to_string(),
@@ -120,7 +128,7 @@ impl SpecCache {
                 .map(|(k, _)| k.clone())
             {
                 inner.map.remove(&oldest);
-                modref_obs::counter("serve.cache.evict").inc();
+                self.evict.inc();
             }
         }
         Ok(session)

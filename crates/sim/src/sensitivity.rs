@@ -3,9 +3,8 @@
 //! The event scheduler re-evaluates a blocked condition only when
 //! something it *reads* was written. This module derives that read set —
 //! the condition's **sensitivity set** of variables and signals — with a
-//! read-set walk over [`Expr`], and pre-derives it for every `wait until`
-//! condition appearing in a specification (leaf bodies and subroutine
-//! bodies alike, via [`modref_spec::visit::for_each_stmt`]).
+//! read-set walk over [`Expr`]. Each executor derives it once per `wait
+//! until` site when it lowers the site to a `WaitSite`.
 //!
 //! A condition's value can only change when a member of its sensitivity
 //! set is written: expressions are side-effect free, and subroutine
@@ -15,10 +14,7 @@
 //! — they were false when the process blocked and can never become true,
 //! so the kernel never needs to revisit them.
 
-use std::collections::HashMap;
-
-use modref_spec::visit::for_each_stmt;
-use modref_spec::{Expr, SignalId, Spec, Stmt, VarId, WaitCond};
+use modref_spec::{Expr, SignalId, VarId};
 
 /// The read set of one `wait until` condition: every variable and signal
 /// whose value the condition depends on.
@@ -71,62 +67,11 @@ impl<C> WaitSite<C> {
     }
 }
 
-/// A cache of sensitivity sets keyed by condition expression, pre-filled
-/// from a specification's statically known `wait until` statements.
-#[derive(Debug)]
-pub struct SensitivityMap {
-    map: HashMap<Expr, SensitivitySet>,
-}
-
-impl SensitivityMap {
-    /// Walks every behavior body and subroutine body of `spec`, deriving
-    /// the sensitivity set of each distinct `wait until` condition.
-    pub fn build(spec: &Spec) -> Self {
-        let mut map = HashMap::new();
-        let mut collect = |stmts: &[Stmt]| {
-            for_each_stmt(stmts, &mut |s| {
-                if let Stmt::Wait(WaitCond::Until(cond)) = s {
-                    map.entry(cond.clone())
-                        .or_insert_with(|| SensitivitySet::of(cond));
-                }
-            });
-        };
-        for (_, b) in spec.behaviors() {
-            if let Some(body) = b.body() {
-                collect(body);
-            }
-        }
-        for (_, sub) in spec.subroutines() {
-            collect(sub.body());
-        }
-        Self { map }
-    }
-
-    /// The sensitivity set of `cond`, derived on first use if the
-    /// condition was not statically visible (defensive; every condition a
-    /// process can block on appears in some body).
-    pub fn of(&mut self, cond: &Expr) -> &SensitivitySet {
-        self.map
-            .entry(cond.clone())
-            .or_insert_with(|| SensitivitySet::of(cond))
-    }
-
-    /// Number of distinct conditions analyzed.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no conditions were found.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use modref_spec::builder::SpecBuilder;
-    use modref_spec::{expr, stmt};
+    use modref_spec::expr;
 
     #[test]
     fn read_set_covers_vars_and_signals() {
@@ -142,12 +87,6 @@ mod tests {
         assert_eq!(s.vars, vec![x, y]);
         assert_eq!(s.signals, vec![sig]);
         assert!(!s.is_empty());
-        // Needed for the builder to be used.
-        let leaf = b.leaf("L", vec![stmt::wait_until(cond)]);
-        let top = b.seq_in_order("Top", vec![leaf]);
-        let spec = b.finish(top).expect("valid");
-        let map = SensitivityMap::build(&spec);
-        assert_eq!(map.len(), 1);
     }
 
     #[test]
@@ -165,27 +104,5 @@ mod tests {
     fn literal_condition_is_empty() {
         let s = SensitivitySet::of(&expr::lit(0));
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn map_collects_conditions_from_subroutines() {
-        let mut b = SpecBuilder::new("s");
-        let sig = b.signal_bit("ack");
-        let leaf = b.leaf(
-            "L",
-            vec![stmt::if_then(
-                expr::lit(1),
-                vec![stmt::wait_until(expr::eq(expr::signal(sig), expr::lit(1)))],
-            )],
-        );
-        let top = b.seq_in_order("Top", vec![leaf]);
-        let spec = b.finish(top).expect("valid");
-        let mut map = SensitivityMap::build(&spec);
-        // Nested wait was found statically.
-        assert_eq!(map.len(), 1);
-        // Fallback path still derives unseen conditions.
-        let fresh = expr::eq(expr::signal(sig), expr::lit(0));
-        assert_eq!(map.of(&fresh).signals, vec![sig]);
-        assert_eq!(map.len(), 2);
     }
 }
