@@ -19,11 +19,9 @@
 //! satisfiable, so over-approximation never produces a false deadlock
 //! report — the soundness direction the DL lints need.
 
-use std::collections::HashMap;
-
 use modref_spec::expr::{BinOp, UnOp};
 use modref_spec::stmt::CallArg;
-use modref_spec::{Expr, LValue, SignalId, Spec, Stmt, VarId};
+use modref_spec::{visit, Expr, LValue, SignalId, Spec, Stmt, VarId};
 
 /// Rounds of plain joining before [`Interval::widen`] kicks in.
 const WIDEN_AFTER: usize = 4;
@@ -207,6 +205,13 @@ impl Ranges {
             .copied()
             .unwrap_or(Interval::TOP)
     }
+
+    fn slot(&mut self, entity: Entity) -> &mut Interval {
+        match entity {
+            Entity::Var(v) => &mut self.vars[v.index()],
+            Entity::Signal(s) => &mut self.signals[s.index()],
+        }
+    }
 }
 
 /// Evaluates an expression over `ranges`, with per-signal `overrides`
@@ -276,9 +281,10 @@ pub enum Entity {
     Signal(SignalId),
 }
 
-/// Collects every `(entity, value)` write a statement performs, where
-/// `None` means "unknown value" (a call's `out` argument). Recurses
-/// into nested bodies.
+/// Collects the `(entity, value)` writes a statement itself performs,
+/// where `None` means "unknown value" (a call's `out` argument). Nested
+/// bodies are not entered: their statements are visited on their own
+/// (as their own CFG nodes, or by [`visit::for_each_stmt`]).
 pub fn collect_writes<'a>(stmt: &'a Stmt, out: &mut Vec<(Entity, Option<&'a Expr>)>) {
     match stmt {
         Stmt::Assign { target, value } => match target {
@@ -301,19 +307,11 @@ pub fn collect_writes<'a>(stmt: &'a Stmt, out: &mut Vec<(Entity, Option<&'a Expr
         }
         _ => {}
     }
-    for body in stmt.bodies() {
-        for s in body {
-            collect_writes(s, out);
-        }
-    }
 }
 
-/// Computes sound value ranges for every variable and signal: the
-/// initial value joined with the abstract value of every write anywhere
-/// in the spec (all behavior bodies and all subroutine bodies),
-/// iterated to a fixpoint with widening.
-pub fn global_ranges(spec: &Spec) -> Ranges {
-    let mut ranges = Ranges {
+/// Every entity at its declared initial value.
+fn initial_ranges(spec: &Spec) -> Ranges {
+    Ranges {
         vars: spec
             .variables()
             .map(|(_, v)| Interval::exact(v.init()))
@@ -322,20 +320,25 @@ pub fn global_ranges(spec: &Spec) -> Ranges {
             .signals()
             .map(|(_, s)| Interval::exact(s.init()))
             .collect(),
-    };
-
-    let mut writes: Vec<(Entity, Option<&Expr>)> = Vec::new();
-    for (_, b) in spec.behaviors() {
-        if let Some(body) = b.body() {
-            for s in body {
-                collect_writes(s, &mut writes);
-            }
-        }
     }
-    for (_, sub) in spec.subroutines() {
-        for s in sub.body() {
-            collect_writes(s, &mut writes);
-        }
+}
+
+/// Computes sound value ranges for every variable and signal: the
+/// initial value joined with the abstract value of every write anywhere
+/// in the spec (all behavior bodies and all subroutine bodies),
+/// iterated to a fixpoint with widening.
+pub fn global_ranges(spec: &Spec) -> Ranges {
+    let mut ranges = initial_ranges(spec);
+
+    // Parents before their nested bodies: the widening below is
+    // order-sensitive, so the write order is part of the result.
+    let mut writes: Vec<(Entity, Option<&Expr>)> = Vec::new();
+    let bodies = spec
+        .behaviors()
+        .filter_map(|(_, b)| b.body())
+        .chain(spec.subroutines().map(|(_, sub)| sub.body()));
+    for body in bodies {
+        visit::for_each_stmt(body, &mut |s| collect_writes(s, &mut writes));
     }
 
     for round in 0..MAX_ROUNDS {
@@ -345,10 +348,7 @@ pub fn global_ranges(spec: &Spec) -> Ranges {
                 Some(e) => eval(e, &ranges),
                 None => Interval::TOP,
             };
-            let slot = match entity {
-                Entity::Var(v) => &mut ranges.vars[v.index()],
-                Entity::Signal(s) => &mut ranges.signals[s.index()],
-            };
+            let slot = ranges.slot(*entity);
             let mut next = slot.join(written);
             if round >= WIDEN_AFTER {
                 next = slot.widen(next);
@@ -365,35 +365,18 @@ pub fn global_ranges(spec: &Spec) -> Ranges {
     ranges
 }
 
-/// Like [`global_ranges`] but with a caller-supplied filter deciding
-/// which write sites participate; everything excluded contributes only
-/// its entity's initial value. The deadlock engine uses this to drop
-/// writes that sit behind never-satisfied waits. `site_values` carries
-/// pre-evaluated write values (under the *full* ranges, which
-/// over-approximates what the write can ever produce).
+/// Like [`global_ranges`] but over a caller-chosen set of pre-evaluated
+/// writes: every entity's initial value joined with the `writes` that
+/// target it. The deadlock engine passes only the write sites not
+/// trapped behind never-satisfied waits, each valued under the *full*
+/// ranges (which over-approximates what the write can ever produce).
 pub fn ranges_from_writes(
     spec: &Spec,
-    site_values: &HashMap<usize, (Entity, Interval)>,
-    live: impl Fn(usize) -> bool,
+    writes: impl IntoIterator<Item = (Entity, Interval)>,
 ) -> Ranges {
-    let mut ranges = Ranges {
-        vars: spec
-            .variables()
-            .map(|(_, v)| Interval::exact(v.init()))
-            .collect(),
-        signals: spec
-            .signals()
-            .map(|(_, s)| Interval::exact(s.init()))
-            .collect(),
-    };
-    for (&site, &(entity, written)) in site_values {
-        if !live(site) {
-            continue;
-        }
-        let slot = match entity {
-            Entity::Var(v) => &mut ranges.vars[v.index()],
-            Entity::Signal(s) => &mut ranges.signals[s.index()],
-        };
+    let mut ranges = initial_ranges(spec);
+    for (entity, written) in writes {
+        let slot = ranges.slot(entity);
         *slot = slot.join(written);
     }
     ranges
@@ -478,15 +461,15 @@ mod tests {
     }
 
     #[test]
-    fn collect_writes_recurses_and_marks_out_args_unknown() {
+    fn collect_writes_stays_in_its_statement() {
         let mut spec = Spec::new("t");
         let leaf = spec.add_behavior(Behavior::new("L", BehaviorKind::Leaf { body: vec![] }));
         let x = spec.add_variable("x", DataType::int(16), 0, Some(leaf));
         let body = vec![if_then(lit(1), vec![assign(x, lit(7))])];
         let mut out = Vec::new();
-        for s in &body {
-            collect_writes(s, &mut out);
-        }
+        collect_writes(&body[0], &mut out);
+        assert!(out.is_empty(), "the nested assign is its own statement");
+        visit::for_each_stmt(&body, &mut |s| collect_writes(s, &mut out));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, Entity::Var(x));
         assert!(out[0].1.is_some());

@@ -4,8 +4,10 @@
 //! one node per statement, plus synthetic entry and exit nodes. The
 //! lowering mirrors the simulator's structured-control semantics: an
 //! `if` forks and rejoins, `while`/`for` loop back through their head
-//! node, and `loop` has no exit edge at all. Dataflow analyses
-//! ([`crate::dataflow`]) run over this graph.
+//! node, and `loop` has no exit edge at all. Each statement node borrows
+//! its statement; [`StmtPath`]s exist only during lowering, to look up
+//! source positions. Dataflow analyses ([`crate::dataflow`]) and the
+//! deadlock engine ([`crate::deadlock`]) run over this graph.
 
 use modref_spec::{LValue, SourceMap, Span, Stmt, StmtOwner, StmtPath, VarId, WaitCond};
 
@@ -14,9 +16,9 @@ pub type NodeId = usize;
 
 /// One CFG node: a statement (or a synthetic entry/exit).
 #[derive(Debug, Clone)]
-pub struct CfgNode {
-    /// Structural address of the statement; `None` for entry/exit.
-    pub path: Option<StmtPath>,
+pub struct CfgNode<'a> {
+    /// The statement this node executes; `None` for entry/exit.
+    pub stmt: Option<&'a Stmt>,
     /// Source position, when the spec was parsed from text.
     pub span: Option<Span>,
     /// Variables read when this node executes (guards, rhs, indices).
@@ -41,10 +43,10 @@ pub struct CfgNode {
     pub preds: Vec<NodeId>,
 }
 
-impl CfgNode {
+impl CfgNode<'_> {
     fn synthetic() -> Self {
         Self {
-            path: None,
+            stmt: None,
             span: None,
             uses: Vec::new(),
             defs: Vec::new(),
@@ -59,9 +61,9 @@ impl CfgNode {
 
 /// A per-body control-flow graph.
 #[derive(Debug, Clone)]
-pub struct Cfg {
+pub struct Cfg<'a> {
     /// All nodes; `nodes[entry]` and `nodes[exit]` are synthetic.
-    pub nodes: Vec<CfgNode>,
+    pub nodes: Vec<CfgNode<'a>>,
     /// The entry node (no statement).
     pub entry: NodeId,
     /// The exit node (no statement). Unreachable when the body ends in an
@@ -69,10 +71,10 @@ pub struct Cfg {
     pub exit: NodeId,
 }
 
-impl Cfg {
+impl<'a> Cfg<'a> {
     /// Lowers a statement body to its CFG. `map` supplies statement
     /// positions when available; pass `None` for builder-built specs.
-    pub fn build(owner: StmtOwner, body: &[Stmt], map: Option<&SourceMap>) -> Self {
+    pub fn build(owner: StmtOwner, body: &'a [Stmt], map: Option<&SourceMap>) -> Self {
         let mut cfg = Cfg {
             nodes: vec![CfgNode::synthetic(), CfgNode::synthetic()],
             entry: 0,
@@ -92,11 +94,10 @@ impl Cfg {
         self.nodes[to].preds.push(from);
     }
 
-    fn add_node(&mut self, path: StmtPath, map: Option<&SourceMap>, preds: &[NodeId]) -> NodeId {
+    fn add_node(&mut self, stmt: &'a Stmt, span: Option<Span>, preds: &[NodeId]) -> NodeId {
         let id = self.nodes.len();
-        let span = map.and_then(|m| m.stmt_span(&path));
         self.nodes.push(CfgNode {
-            path: Some(path),
+            stmt: Some(stmt),
             span,
             ..CfgNode::synthetic()
         });
@@ -111,7 +112,7 @@ impl Cfg {
     /// returns `preds` unchanged.
     fn lower_block(
         &mut self,
-        stmts: &[Stmt],
+        stmts: &'a [Stmt],
         parent: &StmtPath,
         block: u8,
         mut preds: Vec<NodeId>,
@@ -119,7 +120,7 @@ impl Cfg {
     ) -> Vec<NodeId> {
         for (i, s) in stmts.iter().enumerate() {
             let path = parent.child(block, i as u32);
-            let node = self.add_node(path.clone(), map, &preds);
+            let node = self.add_node(s, map.and_then(|m| m.stmt_span(&path)), &preds);
             self.nodes[node].uses = s.direct_reads();
             match s {
                 Stmt::Assign { target, .. } => {
@@ -216,6 +217,8 @@ mod tests {
         assert_eq!(cfg.nodes[2].succs, vec![3]);
         assert_eq!(cfg.nodes[3].succs, vec![cfg.exit]);
         assert_eq!(cfg.nodes[2].assign_scalar, Some(x));
+        assert!(std::ptr::eq(cfg.nodes[3].stmt.unwrap(), &body[1]));
+        assert!(cfg.nodes[cfg.entry].stmt.is_none());
     }
 
     #[test]

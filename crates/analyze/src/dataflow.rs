@@ -130,7 +130,7 @@ mod tests {
     use modref_spec::stmt::{assign, if_then, while_loop};
     use modref_spec::StmtOwner;
 
-    fn build(body: &[modref_spec::Stmt]) -> Cfg {
+    fn build(body: &[modref_spec::Stmt]) -> Cfg<'_> {
         Cfg::build(StmtOwner::Behavior(BehaviorId::from_raw(0)), body, None)
     }
 

@@ -37,6 +37,7 @@
 //! nobody, because composites complete without them.
 
 use std::collections::{HashMap, HashSet};
+use std::ptr;
 
 use modref_spec::behavior::{BehaviorKind, TransitionTarget};
 use modref_spec::printer::expr_to_string;
@@ -69,7 +70,7 @@ struct Body<'a> {
     owner: StmtOwner,
     name: String,
     stmts: &'a [Stmt],
-    cfg: Cfg,
+    cfg: Cfg<'a>,
     /// Wait-until nodes: `(node, condition)`.
     waits: Vec<(NodeId, &'a Expr)>,
 }
@@ -129,13 +130,13 @@ pub fn deadlock_lints(
     }
 
     let mut sites: Vec<Site> = Vec::new();
+    let mut writes = Vec::new();
     for (bi, body) in bodies.iter().enumerate() {
         for (node, cn) in body.cfg.nodes.iter().enumerate() {
-            let Some(path) = &cn.path else { continue };
-            let Some(stmt) = stmt_at(body.stmts, path) else {
-                continue;
-            };
-            for (entity, value) in direct_writes(stmt) {
+            let Some(stmt) = cn.stmt else { continue };
+            writes.clear();
+            absint::collect_writes(stmt, &mut writes);
+            for &(entity, value) in &writes {
                 let hull = value.map_or(Interval::TOP, |e| absint::eval(e, &full));
                 sites.push(Site {
                     body: bi,
@@ -164,12 +165,12 @@ pub fn deadlock_lints(
         .collect();
     loop {
         let live_site = live_sites(&bodies, &sites, &dead);
-        let site_values: HashMap<usize, (Entity, Interval)> = sites
+        let live_writes = sites
             .iter()
-            .enumerate()
-            .map(|(i, s)| (i, (s.entity, s.hull)))
-            .collect();
-        let restricted = absint::ranges_from_writes(spec, &site_values, |i| live_site[i]);
+            .zip(&live_site)
+            .filter(|&(_, &live)| live)
+            .map(|(s, _)| (s.entity, s.hull));
+        let restricted = absint::ranges_from_writes(spec, live_writes);
         let mut removed = false;
         for (bi, body) in bodies.iter().enumerate() {
             for &(node, cond) in &body.waits {
@@ -217,6 +218,19 @@ pub fn deadlock_lints(
     }
     let scc = tarjan_scc(&edges);
 
+    // The DL02 environment: signals nothing writes stay at their initial
+    // values, everything else is unconstrained. A condition only reads
+    // its own signals, so this one environment answers every wait.
+    let mut unwritten_env = Ranges {
+        vars: vec![Interval::TOP; full.vars.len()],
+        signals: vec![Interval::TOP; full.signals.len()],
+    };
+    for (id, sig) in spec.signals() {
+        if !writes_to.contains_key(&Entity::Signal(id)) {
+            unwritten_env.signals[id.index()] = Interval::exact(sig.init());
+        }
+    }
+
     // --- must-activation and the flagging walk -----------------------
     let active = must_active(spec, &full);
     let mut diags = Vec::new();
@@ -233,6 +247,7 @@ pub fn deadlock_lints(
             spec,
             map,
             full: &full,
+            unwritten_env: &unwritten_env,
             bodies: &bodies,
             sub_body: &sub_body,
             dead: &dead,
@@ -279,13 +294,15 @@ fn make_body<'a>(
     map: Option<&SourceMap>,
 ) -> Body<'a> {
     let cfg = Cfg::build(owner, stmts, map);
-    let mut waits = Vec::new();
-    for (node, cn) in cfg.nodes.iter().enumerate() {
-        let Some(path) = &cn.path else { continue };
-        if let Some(Stmt::Wait(WaitCond::Until(cond))) = stmt_at(stmts, path) {
-            waits.push((node, cond));
-        }
-    }
+    let waits = cfg
+        .nodes
+        .iter()
+        .enumerate()
+        .filter_map(|(node, cn)| match cn.stmt {
+            Some(Stmt::Wait(WaitCond::Until(cond))) => Some((node, cond)),
+            _ => None,
+        })
+        .collect();
     Body {
         owner,
         name,
@@ -293,48 +310,6 @@ fn make_body<'a>(
         cfg,
         waits,
     }
-}
-
-/// Resolves a [`StmtPath`] back to its statement within `root`.
-fn stmt_at<'a>(root: &'a [Stmt], path: &StmtPath) -> Option<&'a Stmt> {
-    let mut current: Option<&'a Stmt> = None;
-    for step in &path.steps {
-        let block: &'a [Stmt] = match current {
-            None => root,
-            Some(s) => s.bodies().get(step.block as usize).copied()?,
-        };
-        current = Some(block.get(step.index as usize)?);
-    }
-    current
-}
-
-/// The writes this statement itself performs (no recursion; nested
-/// statements are their own CFG nodes). `None` values are unknown.
-fn direct_writes(stmt: &Stmt) -> Vec<(Entity, Option<&Expr>)> {
-    let mut out = Vec::new();
-    match stmt {
-        Stmt::Assign { target, value } => {
-            if let Some(v) = target.var_opt() {
-                out.push((Entity::Var(v), Some(value)));
-            }
-        }
-        Stmt::SignalSet { signal, value } => out.push((Entity::Signal(*signal), Some(value))),
-        Stmt::Call { args, .. } => {
-            for a in args {
-                if let modref_spec::stmt::CallArg::Out(lv) = a {
-                    if let Some(v) = lv.var_opt() {
-                        out.push((Entity::Var(v), None));
-                    }
-                }
-            }
-        }
-        Stmt::For { var, from, to, .. } => {
-            out.push((Entity::Var(*var), Some(from)));
-            out.push((Entity::Var(*var), Some(to)));
-        }
-        _ => {}
-    }
-    out
 }
 
 /// Entities a wait condition reads (variables and signals).
@@ -541,6 +516,8 @@ struct Walk<'a, 'b> {
     spec: &'a Spec,
     map: Option<&'b SourceMap>,
     full: &'b Ranges,
+    /// [`Ranges`] with only the never-written signals pinned (`DL02`).
+    unwritten_env: &'b Ranges,
     bodies: &'b [Body<'a>],
     sub_body: &'b HashMap<SubroutineId, usize>,
     dead: &'b HashSet<WaitKey>,
@@ -645,8 +622,7 @@ impl<'a> Walk<'a, '_> {
         true
     }
 
-    fn span_of(&self, bi: usize, path: &StmtPath) -> Option<modref_spec::Span> {
-        let _ = bi;
+    fn span_of(&self, path: &StmtPath) -> Option<modref_spec::Span> {
         self.map.and_then(|m| m.stmt_span(path))
     }
 
@@ -670,7 +646,7 @@ impl<'a> Walk<'a, '_> {
                     body.name
                 ),
             )
-            .with_span(self.span_of(bi, path))
+            .with_span(self.span_of(path))
             .with_object(body.name.clone())
             .with_fix("add a `wait` or `delay` inside the loop, or bound it".to_string()),
         );
@@ -678,29 +654,22 @@ impl<'a> Walk<'a, '_> {
 
     fn flag_wait(&mut self, bi: usize, path: &StmtPath, cond: &'a Expr) {
         let body = &self.bodies[bi];
-        let span = self.span_of(bi, path);
-        let cond_text = expr_to_string(self.spec, cond);
+        let span = self.span_of(path);
+        let cond_text = || expr_to_string(self.spec, cond);
         // DL02: the condition needs a signal that no process ever
         // writes — the forgotten half of a handshake. The check is
         // precise: freeze only the unwritten signals at their initial
         // values, leave everything written unconstrained, and show the
         // condition still cannot hold. DL02 is checked before DL01
         // because it names the actual culprit.
-        let unwritten: Vec<SignalId> = cond
+        let first_unwritten = cond
             .signal_reads()
             .into_iter()
-            .filter(|s| !self.writes_to.contains_key(&Entity::Signal(*s)))
-            .collect();
-        if !unwritten.is_empty() {
-            let mut loose = Ranges {
-                vars: vec![Interval::TOP; self.spec.variables().count()],
-                signals: vec![Interval::TOP; self.spec.signals().count()],
-            };
-            for &s in &unwritten {
-                loose.signals[s.index()] = Interval::exact(self.spec.signal(s).init());
-            }
-            if absint::eval(cond, &loose).definitely_false() {
-                let name = self.spec.signal(unwritten[0]).name().to_string();
+            .find(|s| !self.writes_to.contains_key(&Entity::Signal(*s)));
+        if let Some(unwritten) = first_unwritten {
+            if absint::eval(cond, self.unwritten_env).definitely_false() {
+                let name = self.spec.signal(unwritten).name().to_string();
+                let cond_text = cond_text();
                 self.diags.push(
                     Diagnostic::new(
                         "DL02",
@@ -721,6 +690,7 @@ impl<'a> Walk<'a, '_> {
         // DL01: the condition is value-impossible — no reachable write
         // anywhere can produce a satisfying valuation.
         if absint::eval(cond, self.full).definitely_false() {
+            let cond_text = cond_text();
             self.diags.push(
                 Diagnostic::new(
                     "DL01",
@@ -737,12 +707,10 @@ impl<'a> Walk<'a, '_> {
             );
             return;
         }
-        let Some(node) = body
-            .cfg
-            .nodes
-            .iter()
-            .position(|n| n.path.as_ref() == Some(path))
-        else {
+        // The walk visits the very statement slices the bodies were
+        // lowered from, so `cond` is the same expression a wait node of
+        // this body holds: identity finds the node.
+        let Some(&(node, _)) = body.waits.iter().find(|&&(_, c)| ptr::eq(c, cond)) else {
             return;
         };
         if !self.dead.contains(&(bi, node)) {
@@ -765,6 +733,7 @@ impl<'a> Walk<'a, '_> {
                 names.dedup();
                 names.join("`, `")
             });
+        let cond_text = cond_text();
         let message = match participants {
             Some(names) => format!(
                 "circular wait deadlock: `{}` waits on `{cond_text}`, but every write that \
@@ -816,8 +785,7 @@ fn infer_handshakes(
         reqs.dedup();
         let mut acks: Vec<SignalId> = Vec::new();
         for cn in &body.cfg.nodes {
-            let Some(path) = &cn.path else { continue };
-            if let Some(Stmt::SignalSet { signal, .. }) = stmt_at(body.stmts, path) {
+            if let Some(Stmt::SignalSet { signal, .. }) = cn.stmt {
                 acks.push(*signal);
             }
         }

@@ -95,6 +95,41 @@ fn errors_are_reported_with_nonzero_exit() {
 }
 
 #[test]
+fn nan_channel_rates_do_not_panic_estimate_or_rates() {
+    // Twenty nested near-`i64::MAX` loops overflow the access count to
+    // infinity, so every channel rate comes out inf/inf = NaN.
+    let mut body = "x := x + 1;".to_string();
+    let mut spec = String::from("spec nan;\nvar x : int<64> = 0;\n");
+    for k in 0..20 {
+        body = format!("for i{k} := 0 to 9223372036854775806 {{ {body} }}");
+        spec.push_str(&format!("var i{k} : int<64> = 0;\n"));
+    }
+    spec.push_str(&format!("behavior L leaf {{ {body} }}\ntop L;\n"));
+    let dir = tmpdir("nan");
+    fs::write(dir.join("nan.spec"), spec).expect("write spec");
+    fs::write(
+        dir.join("nan.part"),
+        "component PROC processor 65536\ncomponent ASIC asic 10000 75\ndefault ASIC\n",
+    )
+    .expect("write part");
+    for cmd in ["estimate", "rates"] {
+        let out = Command::new(modref_bin())
+            .args([cmd, "nan.spec", "-p", "nan.part"])
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{cmd} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains("NaN"), "{cmd}: {stdout}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn help_prints_usage() {
     let bin = modref_bin();
     let out = Command::new(&bin).args(["help"]).output().expect("runs");

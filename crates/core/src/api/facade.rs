@@ -18,6 +18,7 @@ use crate::explore::{explore_designs_impl, verify_pareto_impl, Exploration, Veri
 use crate::model::ImplModel;
 use crate::rates::figure9_rates;
 use crate::refine::{refine, Refined};
+use crate::RefineError;
 
 use super::error::ModrefError;
 
@@ -481,7 +482,7 @@ pub struct SimOpts {
     pub kernel: SimKernel,
     /// Record a full event trace onto
     /// [`SimResult::trace`](modref_sim::SimResult) — the input to
-    /// [`modref_sim::vcd::export`] and the JSONL trace dump.
+    /// [`modref_sim::vcd::export`] and the trace-level refinement check.
     pub trace: bool,
 }
 
@@ -960,12 +961,17 @@ impl Codesign {
     }
 
     /// The allocation from partition text, or the default PROC+ASIC
-    /// allocation when no text is supplied.
+    /// allocation when no text is supplied. An allocation without
+    /// components is rejected here, before any search or refinement.
     fn allocation_from(&self, part: Option<&str>) -> Result<Allocation, ModrefError> {
-        match part {
-            Some(text) => Ok(self.partition(text)?.0),
-            None => Ok(Allocation::proc_plus_asic()),
+        let alloc = match part {
+            Some(text) => self.partition(text)?.0,
+            None => Allocation::proc_plus_asic(),
+        };
+        if alloc.is_empty() {
+            return Err(RefineError::EmptyAllocation.into());
         }
+        Ok(alloc)
     }
 }
 
@@ -986,6 +992,24 @@ mod tests {
         // Clones share state.
         let u = t.clone();
         assert_eq!(u.stopped(), Some(Stop::Expired));
+    }
+
+    #[test]
+    fn explore_and_verify_reject_a_componentless_allocation() {
+        let cd = Codesign::from_spec(modref_workloads::fig2_spec());
+        let empty = ModrefError::Refine(RefineError::EmptyAllocation);
+        let err = cd
+            .explore(&ExploreOpts::new().with_seeds(1).with_part("# none\n"))
+            .unwrap_err();
+        assert_eq!(err, empty);
+        let exploration = cd
+            .explore(&ExploreOpts::new().with_seeds(1))
+            .expect("explores");
+        let err = cd
+            .verify(&exploration, &VerifyOpts::new().with_part("# none\n"))
+            .unwrap_err();
+        assert_eq!(err, empty);
+        assert_eq!(err.code(), "refine");
     }
 
     #[test]

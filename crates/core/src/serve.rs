@@ -938,6 +938,34 @@ mod tests {
     }
 
     #[test]
+    fn componentless_allocation_is_a_refine_error_for_every_op() {
+        let mut input = String::new();
+        input.push_str(&line(
+            1,
+            r##""op":"explore","workload":"fig2","part":"# none""##,
+        ));
+        input.push_str(&line(
+            2,
+            r##""op":"verify","workload":"fig2","part":"# none""##,
+        ));
+        input.push_str(&line(
+            3,
+            r##""op":"refine","workload":"fig2","part":"# none","model":1"##,
+        ));
+        let (stats, responses) = run(&input, &cfg().workers(2));
+        for id in 1..=3 {
+            match body_of(&responses, id) {
+                ResponseBody::Error { code, message } => {
+                    assert_eq!(code, "refine", "id {id}");
+                    assert_eq!(message, "allocation has no components", "id {id}");
+                }
+                other => panic!("id {id}: expected error, got {other:?}"),
+            }
+        }
+        assert_eq!(stats.errors, 3);
+    }
+
+    #[test]
     fn non_utf8_garbage_is_answered_and_reading_continues() {
         let mut input = b"\xff\xfe x\n".to_vec();
         input.extend_from_slice(line(7, r#""op":"parse","workload":"fig2""#).as_bytes());

@@ -1,7 +1,7 @@
 //! Exploration determinism: the ranked design points are identical across
 //! repeated runs and across every way of choosing the thread count —
-//! explicit config, `RAYON_NUM_THREADS`/`MODREF_THREADS` environment
-//! overrides, and the machine default. Runs through the [`Codesign`]
+//! explicit config, the `MODREF_THREADS` environment override, and the
+//! machine default. Runs through the [`Codesign`]
 //! facade, the entry point the CLI and `modref serve` share.
 //!
 //! This lives in its own integration-test binary (its own process) so the
@@ -38,25 +38,11 @@ fn ranked_results_are_identical_across_runs_and_thread_counts() {
         assert_eq!(first, run, "results differ at {threads} threads");
     }
 
-    // RAYON_NUM_THREADS=1 versus the unconstrained default, the knob the
-    // acceptance criterion names. Restore the environment afterwards.
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    assert_eq!(modref_partition::thread_count(None), 1);
-    let pinned = cd.explore(&opts(None)).expect("pinned run");
-    std::env::remove_var("RAYON_NUM_THREADS");
-    assert_eq!(first, pinned, "RAYON_NUM_THREADS=1 changed the results");
-
-    // MODREF_THREADS takes precedence over RAYON_NUM_THREADS.
-    std::env::set_var("RAYON_NUM_THREADS", "7");
+    // The MODREF_THREADS override versus the unconstrained default.
     std::env::set_var("MODREF_THREADS", "3");
     assert_eq!(modref_partition::thread_count(None), 3);
     let overridden = cd.explore(&opts(None)).expect("override run");
     std::env::remove_var("MODREF_THREADS");
-    std::env::remove_var("RAYON_NUM_THREADS");
-    if let Some(v) = saved {
-        std::env::set_var("RAYON_NUM_THREADS", v);
-    }
     assert_eq!(first, overridden, "MODREF_THREADS=3 changed the results");
 
     // Sanity: the ranking is a total order over the evaluated points.

@@ -34,5 +34,5 @@ pub mod report;
 
 pub use latency::TimingModel;
 pub use lifetime::{behavior_lifetime, LifetimeConfig, LifetimeTable};
-pub use rates::{bus_rates, channel_rate, channel_rate_memo, BusRateTable, MBITS_PER_BIT_PER_NS};
+pub use rates::{channel_rate, channel_rate_memo, BusRateTable, MBITS_PER_BIT_PER_NS};
 pub use report::estimation_report;

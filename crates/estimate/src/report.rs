@@ -71,7 +71,7 @@ pub fn estimation_report(
             ),
         ));
     }
-    rows.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("rates are finite"));
+    rows.sort_by(|a, b| b.0.total_cmp(&a.0));
     for (_, line) in &rows {
         let _ = writeln!(out, "{line}");
     }

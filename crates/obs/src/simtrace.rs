@@ -1,22 +1,11 @@
 //! Simulation trace events: the `(time, seq, id, value)` schema the
-//! simulator's trace sink records, plus its JSONL encoding.
+//! simulator's trace sink records.
 //!
 //! Unlike the recorder events in [`crate::event`] (spans, metrics — the
 //! *tooling's* activity), these describe the *simulated design's*
 //! activity: every variable update, signal update and process wake of one
 //! run. The schema lives here so the kernels, the waveform exporter and
-//! the trace-level refinement checker all speak the same event type, and
-//! so traces can move through the same strict JSONL discipline the
-//! recorder uses: [`parse_events`]`(`[`write_events`]`(es))` reproduces
-//! the events exactly, and any malformed line is an error naming it.
-//!
-//! Values are `i64` (the simulator's universal scalar). To keep the
-//! encoding exact for the full range — the JSON layer holds only `u64`
-//! integers precisely — the `v` field carries the value's
-//! two's-complement bit pattern as a `u64`.
-
-use crate::json::{self, Value};
-use crate::jsonl::TraceParseError;
+//! the trace-level refinement checker all speak the same event type.
 
 /// What a simulation trace event observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -54,162 +43,4 @@ pub struct SimTraceEvent {
     /// The written value (wake events carry the behavior index of the
     /// woken process).
     pub value: i64,
-}
-
-/// Serializes events to JSONL, one per line with a trailing newline:
-/// `{"k":"var","t":0,"seq":3,"slot":1,"v":5}`.
-pub fn write_events(events: &[SimTraceEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        let (kind, slot) = match e.id {
-            SimTraceId::Var(s) => ("var", s),
-            SimTraceId::Elem { var, .. } => ("elem", var),
-            SimTraceId::Signal(s) => ("sig", s),
-            SimTraceId::Wake(p) => ("wake", p),
-        };
-        out.push_str("{\"k\":");
-        json::write_str(&mut out, kind);
-        out.push_str(",\"t\":");
-        json::write_u64(&mut out, e.time);
-        out.push_str(",\"seq\":");
-        json::write_u64(&mut out, e.seq);
-        out.push_str(",\"slot\":");
-        json::write_u64(&mut out, u64::from(slot));
-        if let SimTraceId::Elem { index, .. } = e.id {
-            out.push_str(",\"i\":");
-            json::write_u64(&mut out, u64::from(index));
-        }
-        out.push_str(",\"v\":");
-        json::write_u64(&mut out, e.value as u64);
-        out.push_str("}\n");
-    }
-    out
-}
-
-fn u64_field(obj: &std::collections::BTreeMap<String, Value>, k: &str) -> Result<u64, String> {
-    obj.get(k)
-        .ok_or_else(|| format!("missing field `{k}`"))?
-        .as_u64()
-        .ok_or_else(|| format!("field `{k}` must be a non-negative integer"))
-}
-
-fn u32_field(obj: &std::collections::BTreeMap<String, Value>, k: &str) -> Result<u32, String> {
-    u32::try_from(u64_field(obj, k)?).map_err(|_| format!("field `{k}` out of range"))
-}
-
-/// Parses a JSONL event stream, strictly: blank lines are skipped,
-/// anything else must be a well-formed event line.
-///
-/// # Errors
-///
-/// Any malformed line (bad JSON, unknown kind, missing or mistyped
-/// field) fails with its 1-based line number.
-pub fn parse_events(text: &str) -> Result<Vec<SimTraceEvent>, TraceParseError> {
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fail = |msg: String| TraceParseError { line: i + 1, msg };
-        let v = json::parse(line).map_err(|e| fail(e.to_string()))?;
-        let obj = v
-            .as_obj()
-            .ok_or_else(|| fail("event must be a JSON object".into()))?;
-        let kind = obj
-            .get("k")
-            .and_then(Value::as_str)
-            .ok_or_else(|| fail("field `k` must be a string".into()))?;
-        let id = match kind {
-            "var" => SimTraceId::Var(u32_field(obj, "slot").map_err(fail)?),
-            "elem" => SimTraceId::Elem {
-                var: u32_field(obj, "slot").map_err(fail)?,
-                index: u32_field(obj, "i").map_err(fail)?,
-            },
-            "sig" => SimTraceId::Signal(u32_field(obj, "slot").map_err(fail)?),
-            "wake" => SimTraceId::Wake(u32_field(obj, "slot").map_err(fail)?),
-            other => return Err(fail(format!("unknown event kind `{other}`"))),
-        };
-        events.push(SimTraceEvent {
-            time: u64_field(obj, "t").map_err(fail)?,
-            seq: u64_field(obj, "seq").map_err(fail)?,
-            id,
-            value: u64_field(obj, "v").map_err(fail)? as i64,
-        });
-    }
-    Ok(events)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> Vec<SimTraceEvent> {
-        vec![
-            SimTraceEvent {
-                time: 0,
-                seq: 0,
-                id: SimTraceId::Var(3),
-                value: -5,
-            },
-            SimTraceEvent {
-                time: 0,
-                seq: 1,
-                id: SimTraceId::Elem { var: 1, index: 7 },
-                value: i64::MIN,
-            },
-            SimTraceEvent {
-                time: 12,
-                seq: 2,
-                id: SimTraceId::Signal(0),
-                value: 1,
-            },
-            SimTraceEvent {
-                time: 12,
-                seq: 3,
-                id: SimTraceId::Wake(2),
-                value: i64::MAX,
-            },
-        ]
-    }
-
-    #[test]
-    fn events_round_trip_exactly() {
-        let events = sample();
-        let text = write_events(&events);
-        assert_eq!(text.lines().count(), events.len());
-        let back = parse_events(&text).expect("parses");
-        assert_eq!(events, back);
-        assert_eq!(write_events(&back), text, "encoding is stable");
-    }
-
-    #[test]
-    fn malformed_lines_fail_with_line_numbers() {
-        let good = write_events(&sample());
-        for (bad, what) in [
-            ("{\"k\":\"var\"}", "missing fields"),
-            (
-                "{\"k\":\"nope\",\"t\":0,\"seq\":0,\"slot\":0,\"v\":0}",
-                "unknown kind",
-            ),
-            ("not json", "bad json"),
-            (
-                "{\"k\":\"elem\",\"t\":0,\"seq\":0,\"slot\":0,\"v\":0}",
-                "elem without index",
-            ),
-            (
-                "{\"k\":\"var\",\"t\":-1,\"seq\":0,\"slot\":0,\"v\":0}",
-                "negative time",
-            ),
-        ] {
-            let text = format!("{good}{bad}\n");
-            let err = parse_events(&text).expect_err(what);
-            assert_eq!(err.line, good.lines().count() + 1, "{what}");
-        }
-    }
-
-    #[test]
-    fn blank_lines_are_tolerated() {
-        let text = format!("\n{}\n\n", write_events(&sample()));
-        assert_eq!(parse_events(&text).unwrap(), sample());
-    }
 }

@@ -11,7 +11,7 @@
 //! results are merged by job index then ranked with a total order
 //! `(cost, algorithm, seed)` — so the output is identical regardless of
 //! thread count or scheduling. Thread count resolves from (in order) the
-//! explicit config value, `MODREF_THREADS`, `RAYON_NUM_THREADS`, then
+//! explicit config value, `MODREF_THREADS`, then
 //! [`std::thread::available_parallelism`].
 //!
 //! [`CostCache`]: crate::cache::CostCache
@@ -71,21 +71,17 @@ pub struct Candidate {
 }
 
 /// Resolves the worker-thread count: `explicit`, else `MODREF_THREADS`,
-/// else `RAYON_NUM_THREADS`, else the machine's available parallelism,
-/// floored at 1.
+/// else the machine's available parallelism, floored at 1.
 pub fn thread_count(explicit: Option<usize>) -> usize {
     if let Some(n) = explicit {
         return n.max(1);
     }
-    for var in ["MODREF_THREADS", "RAYON_NUM_THREADS"] {
-        if let Some(n) = std::env::var(var)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            if n > 0 {
-                return n;
-            }
-        }
+    if let Some(n) = std::env::var("MODREF_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n > 0)
+    {
+        return n;
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -194,32 +190,23 @@ pub fn explore(
     config: &CostConfig,
     expl: &ExploreConfig,
 ) -> Vec<Candidate> {
-    explore_with_cancel(spec, graph, allocation, config, expl, None)
+    explore_with_observer(spec, graph, allocation, config, expl, None, None)
 }
 
-/// [`explore`] with a cooperative stop check: `should_stop` is consulted
-/// before each job (one annealing or migration run per seed, plus the
-/// constructive singletons), and jobs that start after it returns `true`
-/// are skipped. The candidates of jobs that already finished are still
-/// ranked and returned, so a cancelled exploration yields a truthful
-/// partial result; callers that must treat cancellation as failure check
-/// their own token after the call.
-pub fn explore_with_cancel(
-    spec: &Spec,
-    graph: &AccessGraph,
-    allocation: &Allocation,
-    config: &CostConfig,
-    expl: &ExploreConfig,
-    should_stop: Option<&(dyn Fn() -> bool + Sync)>,
-) -> Vec<Candidate> {
-    explore_with_observer(spec, graph, allocation, config, expl, should_stop, None)
-}
-
-/// [`explore_with_cancel`] plus a completion observer: `on_job_done` is
-/// called once per *finished* job (skipped jobs do not report) with the
-/// running count of completed jobs and the total job count. The observer
-/// runs on worker threads, so it must be cheap and `Sync`; candidate
-/// ranking and output are unaffected.
+/// [`explore`] with a cooperative stop check and a completion observer.
+///
+/// `should_stop` is consulted before each job (one annealing or
+/// migration run per seed, plus the constructive singletons), and jobs
+/// that start after it returns `true` are skipped. The candidates of
+/// jobs that already finished are still ranked and returned, so a
+/// cancelled exploration yields a truthful partial result; callers that
+/// must treat cancellation as failure check their own token after the
+/// call.
+///
+/// `on_job_done` is called once per *finished* job (skipped jobs do not
+/// report) with the running count of completed jobs and the total job
+/// count. The observer runs on worker threads, so it must be cheap and
+/// `Sync`; candidate ranking and output are unaffected.
 pub fn explore_with_observer(
     spec: &Spec,
     graph: &AccessGraph,
@@ -436,12 +423,12 @@ mod tests {
         // Already-stopped token: every job is skipped.
         let stopped = AtomicBool::new(true);
         let stop = || stopped.load(Ordering::Relaxed);
-        let none = explore_with_cancel(&spec, &graph, &alloc, &config, &expl, Some(&stop));
+        let none = explore_with_observer(&spec, &graph, &alloc, &config, &expl, Some(&stop), None);
         assert!(none.is_empty());
         // Never-stopped token: identical to the plain entry point.
         let live = AtomicBool::new(false);
         let stop = || live.load(Ordering::Relaxed);
-        let all = explore_with_cancel(&spec, &graph, &alloc, &config, &expl, Some(&stop));
+        let all = explore_with_observer(&spec, &graph, &alloc, &config, &expl, Some(&stop), None);
         assert_eq!(all, explore(&spec, &graph, &alloc, &config, &expl));
     }
 

@@ -42,5 +42,5 @@ pub use assignment::{Partition, VarClass};
 pub use cache::CostCache;
 pub use component::{Allocation, Component, ComponentId, ComponentKind};
 pub use cost::{partition_cost, CostConfig, CostReport};
-pub use explore::{explore, explore_with_cancel, par_map, thread_count, Candidate, ExploreConfig};
+pub use explore::{explore, par_map, thread_count, Candidate, ExploreConfig};
 pub use textfmt::{parse_partition, render_partition, ParsePartitionError};

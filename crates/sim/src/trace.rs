@@ -3,9 +3,10 @@
 //! When [`SimConfig::trace`](crate::SimConfig) is set, the kernels
 //! install a `TraceSink` in the shared state and every variable write,
 //! signal write and process wake is recorded as a `(time, seq, id,
-//! value)` event (the schema is [`modref_obs::simtrace`], shared with the
-//! tooling layer). All three kernels record **identical** event
-//! sequences for the same specification — the write path is common
+//! value)` event (the schema is [`modref_obs::simtrace`], which the VCD
+//! exporter and the trace-level refinement check read too). All three
+//! kernels record **identical** event sequences for the same
+//! specification — the write path is common
 //! ([`SharedState`](crate::process) hosts the sink) and wake events are
 //! emitted in the deterministic pid order every kernel dispatches in —
 //! so a trace is as kernel-independent as the final
@@ -37,22 +38,6 @@ impl SimTrace {
     /// Whether the run recorded no events at all.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Serializes the trace to JSONL (see [`modref_obs::simtrace`]).
-    pub fn to_jsonl(&self) -> String {
-        modref_obs::simtrace::write_events(&self.events)
-    }
-
-    /// Parses a JSONL trace, strictly.
-    ///
-    /// # Errors
-    ///
-    /// Fails with the 1-based line number of any malformed line.
-    pub fn from_jsonl(text: &str) -> Result<Self, modref_obs::jsonl::TraceParseError> {
-        Ok(Self {
-            events: modref_obs::simtrace::parse_events(text)?,
-        })
     }
 }
 

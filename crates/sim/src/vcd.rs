@@ -22,7 +22,7 @@
 //! (two's-complement for signed types, matching
 //! [`wrap_scalar`](crate::value::wrap_scalar) storage semantics). Wake
 //! events carry no value and are omitted — waveforms show data, the
-//! JSONL trace shows scheduling.
+//! trace's wake events show scheduling.
 
 use std::fmt::Write as _;
 
