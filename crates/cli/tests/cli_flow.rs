@@ -94,10 +94,10 @@ fn errors_are_reported_with_nonzero_exit() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
 }
 
-#[test]
-fn nan_channel_rates_do_not_panic_estimate_or_rates() {
-    // Twenty nested near-`i64::MAX` loops overflow the access count to
-    // infinity, so every channel rate comes out inf/inf = NaN.
+/// A spec whose one leaf nests twenty near-`i64::MAX` loops, so every
+/// access count and the leaf's lifetime overflow to infinity, with a
+/// PROC+ASIC partition file; returns the directory holding both.
+fn overflow_spec_dir(tag: &str) -> PathBuf {
     let mut body = "x := x + 1;".to_string();
     let mut spec = String::from("spec nan;\nvar x : int<64> = 0;\n");
     for k in 0..20 {
@@ -105,13 +105,20 @@ fn nan_channel_rates_do_not_panic_estimate_or_rates() {
         spec.push_str(&format!("var i{k} : int<64> = 0;\n"));
     }
     spec.push_str(&format!("behavior L leaf {{ {body} }}\ntop L;\n"));
-    let dir = tmpdir("nan");
+    let dir = tmpdir(tag);
     fs::write(dir.join("nan.spec"), spec).expect("write spec");
     fs::write(
         dir.join("nan.part"),
         "component PROC processor 65536\ncomponent ASIC asic 10000 75\ndefault ASIC\n",
     )
     .expect("write part");
+    dir
+}
+
+#[test]
+fn nan_channel_rates_do_not_panic_estimate_or_rates() {
+    // inf bits over an inf lifetime saturate to an infinite rate, not NaN.
+    let dir = overflow_spec_dir("nan");
     for cmd in ["estimate", "rates"] {
         let out = Command::new(modref_bin())
             .args([cmd, "nan.spec", "-p", "nan.part"])
@@ -124,8 +131,44 @@ fn nan_channel_rates_do_not_panic_estimate_or_rates() {
             "{cmd} failed: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        assert!(stdout.contains("NaN"), "{cmd}: {stdout}");
+        assert!(stdout.contains("inf"), "{cmd}: {stdout}");
+        assert!(!stdout.contains("NaN"), "{cmd}: {stdout}");
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn explore_ranks_overflowing_rates_as_infinite() {
+    // Every candidate moves x's infinite traffic over some bus, so no
+    // row may report a max bus rate of 0.0.
+    let dir = overflow_spec_dir("nan_explore");
+    let out = Command::new(modref_bin())
+        .args(["explore", "nan.spec", "--seeds", "2", "--top", "100"])
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "explore failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!stdout.contains("NaN"), "{stdout}");
+    let header = stdout
+        .lines()
+        .position(|l| l.starts_with("rank"))
+        .expect("table header");
+    let rates: Vec<&str> = stdout
+        .lines()
+        .skip(header + 1)
+        .take_while(|l| l.starts_with(|c: char| c.is_ascii_digit()))
+        .map(|row| {
+            let cols: Vec<&str> = row.split_whitespace().collect();
+            cols[cols.len() - 2]
+        })
+        .collect();
+    assert!(!rates.is_empty(), "{stdout}");
+    assert!(rates.iter().all(|&r| r == "inf"), "{rates:?}\n{stdout}");
     let _ = fs::remove_dir_all(&dir);
 }
 

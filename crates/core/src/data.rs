@@ -90,11 +90,6 @@ impl<'a> DataRefiner<'a> {
         }
     }
 
-    /// Consumes the refiner, returning the underlying spec borrow.
-    pub fn into_spec(self) -> &'a mut Spec {
-        self.spec
-    }
-
     /// The register temporary mirroring `var` (created on first use).
     pub fn tmp_for(&mut self, var: VarId) -> VarId {
         if let Some(&t) = self.tmp_of.get(&var) {
@@ -102,15 +97,7 @@ impl<'a> DataRefiner<'a> {
         }
         let base_name = format!("{}_tmp_{}", self.prefix, self.spec.variable(var).name());
         let name = self.spec.fresh_variable_name(&base_name);
-        let ty = match self.spec.variable(var).ty() {
-            DataType::Array { elem, .. } => match elem {
-                modref_spec::types::ScalarType::Bit => DataType::Bit,
-                modref_spec::types::ScalarType::Bool => DataType::Bool,
-                modref_spec::types::ScalarType::Int(w) => DataType::int(*w),
-                modref_spec::types::ScalarType::Uint(w) => DataType::uint(*w),
-            },
-            scalar => *scalar,
-        };
+        let ty = self.spec.variable(var).ty().access_scalar().into();
         let t = self.spec.add_variable(name, ty, 0, None);
         self.tmp_of.insert(var, t);
         t
@@ -125,16 +112,8 @@ impl<'a> DataRefiner<'a> {
             self.spec.variable(var).name()
         );
         let name = self.spec.fresh_variable_name(&base_name);
-        let elem_ty = match self.spec.variable(var).ty() {
-            DataType::Array { elem, .. } => match elem {
-                modref_spec::types::ScalarType::Bit => DataType::Bit,
-                modref_spec::types::ScalarType::Bool => DataType::Bool,
-                modref_spec::types::ScalarType::Int(w) => DataType::int(*w),
-                modref_spec::types::ScalarType::Uint(w) => DataType::uint(*w),
-            },
-            scalar => *scalar,
-        };
-        self.spec.add_variable(name, elem_ty, 0, None)
+        let ty = self.spec.variable(var).ty().access_scalar().into();
+        self.spec.add_variable(name, ty, 0, None)
     }
 
     fn fresh_bound_tmp(&mut self) -> VarId {
@@ -144,30 +123,6 @@ impl<'a> DataRefiner<'a> {
             .spec
             .fresh_variable_name(&format!("{}_bound_{n}", self.prefix));
         self.spec.add_variable(name, DataType::int(32), 0, None)
-    }
-
-    /// `call MST_receive(addr_expr, out target)`
-    fn fetch_call(&self, access: VarAccess, addr: Expr, target: VarId) -> Stmt {
-        stmt::call(
-            access.recv,
-            vec![CallArg::In(addr), CallArg::Out(LValue::Var(target))],
-        )
-    }
-
-    /// `call MST_send(addr_expr, in value)`
-    fn send_call(&self, access: VarAccess, addr: Expr, value: Expr) -> Stmt {
-        stmt::call(access.send, vec![CallArg::In(addr), CallArg::In(value)])
-    }
-
-    /// Emits a fetch of `var` into its temporary; public for the guard
-    /// (non-leaf) scheme, where the composite appends fetches to its
-    /// predecessor children (Figure 6).
-    pub fn fetch_scalar(&mut self, var: VarId) -> Vec<Stmt> {
-        let Some(&access) = self.table.get(&var) else {
-            return Vec::new();
-        };
-        let tmp = self.tmp_for(var);
-        vec![self.fetch_call(access, expr::lit(access.base as i64), tmp)]
     }
 
     /// Rewrites an expression: every memory-variable read is replaced by
@@ -187,7 +142,7 @@ impl<'a> DataRefiner<'a> {
                         return Expr::Var(tmp);
                     }
                     let tmp = self.tmp_for(v);
-                    pre.push(self.fetch_call(access, expr::lit(access.base as i64), tmp));
+                    pre.push(fetch_call(access, expr::lit(access.base as i64), tmp));
                     cache.insert(v, tmp);
                     Expr::Var(tmp)
                 } else {
@@ -199,7 +154,7 @@ impl<'a> DataRefiner<'a> {
                 if let Some(&access) = self.table.get(&v) {
                     let tmp = self.fresh_elem_tmp(v);
                     let addr = expr::add(expr::lit(access.base as i64), idx);
-                    pre.push(self.fetch_call(access, addr, tmp));
+                    pre.push(fetch_call(access, addr, tmp));
                     Expr::Var(tmp)
                 } else {
                     Expr::Index(v, Box::new(idx))
@@ -253,7 +208,7 @@ impl<'a> DataRefiner<'a> {
                             let tmp = self.tmp_for(v);
                             out.extend(pre);
                             out.push(stmt::assign(tmp, value));
-                            out.push(self.send_call(
+                            out.push(send_call(
                                 access,
                                 expr::lit(access.base as i64),
                                 expr::var(tmp),
@@ -272,7 +227,7 @@ impl<'a> DataRefiner<'a> {
                             out.extend(pre);
                             out.push(stmt::assign(tmp, value));
                             let addr = expr::add(expr::lit(access.base as i64), idx);
-                            out.push(self.send_call(access, addr, expr::var(tmp)));
+                            out.push(send_call(access, addr, expr::var(tmp)));
                             // Element writes do not map to a scalar cache
                             // entry; drop any stale scalar alias.
                             cache.remove(&v);
@@ -366,7 +321,7 @@ impl<'a> DataRefiner<'a> {
                     out.extend(pre);
                     out.push(stmt::assign(tmp_i, from));
                     out.push(stmt::assign(bound, to));
-                    let mut loop_body = vec![self.send_call(
+                    let mut loop_body = vec![send_call(
                         access,
                         expr::lit(access.base as i64),
                         expr::var(tmp_i),
@@ -407,7 +362,7 @@ impl<'a> DataRefiner<'a> {
                         CallArg::Out(LValue::Var(v)) => {
                             if let Some(&access) = self.table.get(&v) {
                                 let tmp = self.tmp_for(v);
-                                post.push(self.send_call(
+                                post.push(send_call(
                                     access,
                                     expr::lit(access.base as i64),
                                     expr::var(tmp),
@@ -427,6 +382,20 @@ impl<'a> DataRefiner<'a> {
             other @ (Stmt::Delay(_) | Stmt::Skip) => out.push(other),
         }
     }
+}
+
+/// `call MST_receive(addr, out target)`: fetches the word at `addr`
+/// into `target`.
+pub(crate) fn fetch_call(access: VarAccess, addr: Expr, target: VarId) -> Stmt {
+    stmt::call(
+        access.recv,
+        vec![CallArg::In(addr), CallArg::Out(LValue::Var(target))],
+    )
+}
+
+/// `call MST_send(addr, in value)`: stores `value` at `addr`.
+fn send_call(access: VarAccess, addr: Expr, value: Expr) -> Stmt {
+    stmt::call(access.send, vec![CallArg::In(addr), CallArg::In(value)])
 }
 
 #[cfg(test)]

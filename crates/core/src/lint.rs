@@ -9,6 +9,8 @@
 //! refined candidate first and rejects statically broken ones before
 //! spending simulation time.
 
+use std::collections::HashMap;
+
 use modref_analyze::{
     conformance_lints, deadlock_lints, BusView, Diagnostic, HandshakePair, MemoryView, RefinedView,
     Severity,
@@ -35,20 +37,18 @@ pub(crate) fn lint_refined_impl(
 
     // Widest access each bus must carry: max bits-per-access over the
     // original data channels routed across it.
-    let required = |bus_name: &str| -> u32 {
-        refined
-            .channel_buses
-            .iter()
-            .filter(|(_, buses)| buses.iter().any(|b| b == bus_name))
-            .filter_map(|(cid, _)| match graph.channel(*cid).kind() {
-                ChannelKind::Data {
-                    bits_per_access, ..
-                } => Some(*bits_per_access),
-                ChannelKind::Control { .. } => None,
-            })
-            .max()
-            .unwrap_or(0)
-    };
+    let mut required: HashMap<&str, u32> = HashMap::new();
+    for (cid, buses) in &refined.channel_buses {
+        if let ChannelKind::Data {
+            bits_per_access, ..
+        } = graph.channel(*cid).kind()
+        {
+            for bus in buses {
+                let widest = required.entry(bus).or_default();
+                *widest = (*widest).max(*bits_per_access);
+            }
+        }
+    }
 
     let buses = arch
         .buses
@@ -60,7 +60,7 @@ pub(crate) fn lint_refined_impl(
             masters: b.masters.clone(),
             slaves: b.slaves.clone(),
             has_arbiter: arch.arbiters.iter().any(|a| a.bus == b.name),
-            required_data_bits: required(&b.name),
+            required_data_bits: required.get(b.name.as_str()).copied().unwrap_or(0),
         })
         .collect();
 

@@ -19,9 +19,10 @@
 //! derives all four models' bus tables from one [`BusAssignment`] each.
 //!
 //! [`RefinePlan`] composes a [`BusAssignment`] with what only
-//! refinement needs: named memory modules with their variables and port
-//! buses, the **global address map** (each memory occupies a contiguous
-//! range so slaves can range-decode shared buses) and the bus widths.
+//! refinement needs: the architecture's [`MemoryModule`]s — named, with
+//! their variables, port buses and sizes — the **global address map**
+//! (each memory occupies a contiguous range so slaves can range-decode
+//! shared buses) and the bus widths.
 
 use std::collections::HashMap;
 
@@ -30,24 +31,9 @@ use modref_partition::{Allocation, ComponentId, Partition, VarClass};
 use modref_spec::{BehaviorId, Spec, VarId};
 
 use crate::address::AddressMap;
-use crate::arch::BusKind;
+use crate::arch::{BusKind, MemoryModule};
 use crate::error::RefineError;
 use crate::model::ImplModel;
-
-/// A planned memory module.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemoryPlan {
-    /// Module name (`Gmem_p0`, `Lmem_p1`, ...).
-    pub name: String,
-    /// The component whose variables it holds (its *home*).
-    pub home: ComponentId,
-    /// Whether it holds global (cross-partition) variables.
-    pub global: bool,
-    /// The variables stored, in address order.
-    pub vars: Vec<VarId>,
-    /// The buses its ports serve (one entry per port).
-    pub port_buses: Vec<String>,
-}
 
 /// A planned bus.
 #[derive(Debug, Clone, PartialEq)]
@@ -405,8 +391,8 @@ pub struct RefinePlan {
     pub model: ImplModel,
     /// Global address map over all memory-resident variables.
     pub addr: AddressMap,
-    /// Planned memory modules, in [`BusAssignment::memories`] order.
-    pub memories: Vec<MemoryPlan>,
+    /// The memory modules, in [`BusAssignment::memories`] order.
+    pub memories: Vec<MemoryModule>,
     /// Data-line width shared by all buses (widest single access).
     pub data_bits: u32,
     /// Address-line width shared by all buses.
@@ -432,29 +418,34 @@ impl RefinePlan {
         let placement = Placement::new(spec, graph, allocation, partition)?;
         let assignment = BusAssignment::new(model, allocation, placement.homes());
 
-        let mut memories: Vec<MemoryPlan> = assignment
+        let mut memories: Vec<MemoryModule> = assignment
             .memories()
             .iter()
             .enumerate()
-            .map(|(i, &(home, global))| MemoryPlan {
+            .map(|(i, &(home, global))| MemoryModule {
                 name: if global {
                     format!("Gmem_p{}", home.index())
                 } else {
                     format!("Lmem_p{}", home.index())
                 },
-                home,
+                component: Some(home),
                 global,
-                vars: Vec::new(),
                 port_buses: assignment
                     .memory_ports(i)
                     .into_iter()
                     .map(|b| assignment.name(b).to_string())
                     .collect(),
+                vars: Vec::new(),
+                words: 0,
+                bits: 0,
             })
             .collect();
-        for (v, _) in spec.variables() {
+        for (v, var) in spec.variables() {
             if let Some(m) = assignment.memory_of(v) {
-                memories[m].vars.push(v);
+                let mem = &mut memories[m];
+                mem.vars.push(v);
+                mem.words += u64::from(var.ty().element_count());
+                mem.bits += u64::from(var.ty().bit_width());
             }
         }
 
@@ -486,32 +477,14 @@ impl RefinePlan {
         self.assignment.buses()
     }
 
+    /// The bus assignment: every bus, memory and route by index.
+    pub(crate) fn assignment(&self) -> &BusAssignment {
+        &self.assignment
+    }
+
     /// The memory module holding `var`.
-    pub fn memory_of(&self, var: VarId) -> Option<&MemoryPlan> {
+    pub fn memory_of(&self, var: VarId) -> Option<&MemoryModule> {
         self.assignment.memory_of(var).map(|i| &self.memories[i])
-    }
-
-    /// The index into [`RefinePlan::memories`] of the module holding `var`.
-    pub fn memory_index_of(&self, var: VarId) -> Option<usize> {
-        self.assignment.memory_of(var)
-    }
-
-    /// The per-component local bus, if planned.
-    pub fn local_bus_of(&self, cid: ComponentId) -> Option<&str> {
-        let a = &self.assignment;
-        a.local_bus_of(cid).map(|b| a.name(b))
-    }
-
-    /// Model4's inter-component bus, if planned.
-    pub fn inter_bus_name(&self) -> Option<&str> {
-        let a = &self.assignment;
-        a.inter_bus().map(|b| a.name(b))
-    }
-
-    /// Model4's interface-access bus for a component.
-    pub fn ifc_bus_of(&self, cid: ComponentId) -> Option<&str> {
-        let a = &self.assignment;
-        a.ifc_bus_of(cid).map(|b| a.name(b))
     }
 
     /// The names of the buses an access travels when a behavior on
@@ -654,7 +627,8 @@ mod tests {
         // ...remote access from ASIC traverses ifc1 -> inter -> local0.
         let chain = plan.access_buses(asic, g);
         assert_eq!(chain.len(), 3);
-        assert_eq!(chain[1], plan.inter_bus_name().unwrap());
+        let a = plan.assignment();
+        assert_eq!(chain[1], a.name(a.inter_bus().unwrap()));
         // All memories are local under Model4.
         assert!(plan.memories.iter().all(|m| !m.global));
     }

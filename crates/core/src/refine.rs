@@ -3,37 +3,46 @@
 //!
 //! [`refine`] rebuilds the specification from scratch:
 //!
-//! 1. memory-module placeholder behaviors are created and every original
+//! 1. memory-module placeholder behaviors are created for the plan's
+//!    [`MemoryModule`](crate::arch::MemoryModule)s and every original
 //!    variable is re-declared inside its module;
-//! 2. bus wires and protocol subroutines are generated — per-master
-//!    variants with request/acknowledge arbitration where a bus has more
-//!    than one master;
+//! 2. bus wires are generated, the bus masters are enumerated (leaf
+//!    bodies and guard fetches that touch memory, plus the Model4 bus
+//!    interfaces their remote accesses pass through), and each bus gets
+//!    its master protocol subroutines — per-master variants with
+//!    request/acknowledge wires and a bus arbiter (Figure 7) where a bus
+//!    has more than one master;
 //! 3. the behavior hierarchy is copied: children assigned to a different
 //!    component than their parent become `B_CTRL` stubs plus concurrent
 //!    `B_NEW` wrappers (control refinement), leaf bodies have their
 //!    variable accesses replaced by protocol calls (data refinement,
 //!    Figure 5), and transition guards read register temporaries fetched
 //!    at the end of predecessor children (non-leaf scheme, Figure 6);
-//! 4. memory-port serve loops, bus arbiters (Figure 7) and Model4 bus
-//!    interfaces (Figure 8) are generated;
+//! 4. memory-port serve loops and Model4 bus interfaces (Figure 8) are
+//!    generated;
 //! 5. the refined top is a concurrent composite of the copied hierarchy
-//!    and every server behavior.
+//!    and every server behavior, and the architecture lists the buses
+//!    with their masters and slaves next to the plan's memory modules.
+//!
+//! Every step reads buses, memories and access routes as indices from
+//! the plan's [`BusAssignment`](crate::plan::BusAssignment); bus names
+//! appear only where a signal, subroutine or architecture entry is named.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use modref_graph::{AccessGraph, ChannelId};
 use modref_partition::{Allocation, ComponentId, Partition};
 use modref_spec::stmt::CallArg;
 use modref_spec::subroutine::Subroutine;
 use modref_spec::{
-    validate, Behavior, BehaviorId, BehaviorKind, Expr, LValue, SignalId, Spec, Stmt, SubroutineId,
-    Transition, TransitionTarget, VarId, WaitCond,
+    expr, validate, Behavior, BehaviorId, BehaviorKind, Expr, LValue, SignalId, Spec, Stmt,
+    SubroutineId, Transition, TransitionTarget, VarId, WaitCond,
 };
 
 use crate::arbiter::{make_arbiter_with_policy, ArbiterPolicy};
-use crate::arch::{ArbiterDesc, Architecture, Bus, InterfaceDesc, MemoryModule};
+use crate::arch::{ArbiterDesc, Architecture, Bus, InterfaceDesc};
 use crate::control::{make_bctrl, make_bnew_composite, make_bnew_leaf, ControlSignals};
-use crate::data::{DataRefiner, VarAccess};
+use crate::data::{fetch_call, DataRefiner, VarAccess};
 use crate::error::RefineError;
 use crate::interface::{make_interface, ForwardSubs};
 use crate::memory::{memory_port_body, MemoryVar, SlvSubs};
@@ -112,7 +121,7 @@ pub fn refine_with_options(
         let _s = modref_obs::span("refine.plan");
         RefinePlan::build(spec, graph, allocation, partition, model)?
     };
-    let builder = Builder::new(spec, graph, allocation, partition, plan, *options);
+    let builder = Builder::new(spec, graph, partition, plan, *options);
     builder.build()
 }
 
@@ -133,7 +142,9 @@ enum CtxKey {
 struct MasterCtx {
     key: CtxKey,
     name: String,
-    buses: BTreeSet<String>,
+    /// The buses the context drives, as
+    /// [`BusAssignment`](crate::plan::BusAssignment) indices.
+    buses: BTreeSet<usize>,
 }
 
 struct Builder<'a> {
@@ -146,11 +157,13 @@ struct Builder<'a> {
     vmap: HashMap<VarId, VarId>,
     smap: HashMap<SignalId, SignalId>,
     submap: HashMap<SubroutineId, SubroutineId>,
-    wires: HashMap<String, BusWires>,
+    /// Per bus index.
+    wires: Vec<BusWires>,
     contexts: Vec<MasterCtx>,
-    ctx_subs: HashMap<(String, CtxKey), (SubroutineId, SubroutineId)>,
+    ctx_subs: HashMap<(usize, CtxKey), (SubroutineId, SubroutineId)>,
     mem_port0: Vec<BehaviorId>,
-    slv_subs: HashMap<String, SlvSubs>,
+    /// Per bus index, created with the bus's first memory port.
+    slv_subs: Vec<Option<SlvSubs>>,
     servers: Vec<BehaviorId>,
     arch: Architecture,
     guard_tmp: HashMap<(BehaviorId, VarId), VarId>,
@@ -160,7 +173,6 @@ impl<'a> Builder<'a> {
     fn new(
         orig: &'a Spec,
         graph: &'a AccessGraph,
-        _allocation: &'a Allocation,
         part: &'a Partition,
         plan: RefinePlan,
         options: RefineOptions,
@@ -175,11 +187,11 @@ impl<'a> Builder<'a> {
             vmap: HashMap::new(),
             smap: HashMap::new(),
             submap: HashMap::new(),
-            wires: HashMap::new(),
+            wires: Vec::new(),
             contexts: Vec::new(),
             ctx_subs: HashMap::new(),
             mem_port0: Vec::new(),
-            slv_subs: HashMap::new(),
+            slv_subs: Vec::new(),
             servers: Vec::new(),
             arch: Architecture::default(),
             guard_tmp: HashMap::new(),
@@ -215,7 +227,7 @@ impl<'a> Builder<'a> {
             self.copy_behavior(self.orig.top())
         })?;
         pass("refine.fill_memories", || self.fill_memories());
-        pass("refine.create_interfaces", || self.create_interfaces())?;
+        pass("refine.create_interfaces", || self.create_interfaces());
 
         let mut children = vec![root];
         children.extend(self.servers.iter().copied());
@@ -262,8 +274,7 @@ impl<'a> Builder<'a> {
     fn copy_variables(&mut self) {
         // Iterate memories so variables land scoped to their module's
         // first port behavior, in address order.
-        for (idx, mem) in self.plan.memories.clone().iter().enumerate() {
-            let scope = self.mem_port0[idx];
+        for (mem, &scope) in self.plan.memories.iter().zip(&self.mem_port0) {
             for &v in &mem.vars {
                 let var = self.orig.variable(v);
                 let new = self.out.add_variable(
@@ -298,177 +309,155 @@ impl<'a> Builder<'a> {
 
     fn create_bus_wires(&mut self) {
         let (addr_bits, data_bits) = (self.plan.addr_bits, self.plan.data_bits);
-        for bus in self.plan.buses().to_vec() {
+        for bus in self.plan.buses() {
             let wires = BusWires::create(&mut self.out, &bus.name, addr_bits, data_bits);
-            self.wires.insert(bus.name, wires);
+            self.wires.push(wires);
         }
+        self.slv_subs = vec![None; self.wires.len()];
     }
 
     // --- step 2: master contexts, protocols, arbiters ---
 
+    /// Enumerates the bus masters: leaf bodies and guard fetches that
+    /// touch memory, then the Model4 interfaces their remote accesses
+    /// pass through (outbound ones first).
     fn enumerate_contexts(&mut self) -> Result<(), RefineError> {
+        let orig = self.orig;
         let mut ifc_out: BTreeSet<ComponentId> = BTreeSet::new();
         let mut ifc_in: BTreeSet<ComponentId> = BTreeSet::new();
 
-        for leaf in self.orig.leaves() {
+        for leaf in orig.leaves() {
             let comp = self.component_of(leaf)?;
-            let vars = collect_body_vars(self.orig, leaf);
-            let mut buses = BTreeSet::new();
-            for v in vars {
-                let chain = self.plan.access_buses(comp, v);
-                if let Some(first) = chain.first() {
-                    buses.insert(first.clone());
-                }
-                if chain.len() == 3 {
-                    ifc_out.insert(comp);
-                    if let Some(mem) = self.plan.memory_of(v) {
-                        ifc_in.insert(mem.home);
-                    }
-                }
-            }
+            let vars = collect_body_vars(orig, leaf);
+            let buses = self.master_buses(comp, vars, &mut ifc_out, &mut ifc_in);
             if !buses.is_empty() {
                 self.contexts.push(MasterCtx {
                     key: CtxKey::LeafBody(leaf),
-                    name: self.orig.behavior(leaf).name().to_string(),
+                    name: orig.behavior(leaf).name().to_string(),
                     buses,
                 });
             }
         }
 
-        for comp_b in self.orig.reachable() {
-            let b = self.orig.behavior(comp_b);
+        for composite in orig.reachable() {
+            let b = orig.behavior(composite);
             if b.is_leaf() {
                 continue;
             }
-            let comp = self.component_of(comp_b)?;
-            let mut per_child: HashMap<BehaviorId, BTreeSet<VarId>> = HashMap::new();
-            for t in b.transitions() {
-                if let Some(cond) = &t.cond {
-                    per_child.entry(t.from).or_default().extend(cond.reads());
-                }
-            }
-            let mut children: Vec<_> = per_child.into_iter().collect();
-            children.sort_by_key(|(c, _)| *c);
-            for (child, vars) in children {
-                if vars.is_empty() {
-                    continue;
-                }
-                let mut buses = BTreeSet::new();
-                for &v in &vars {
-                    let chain = self.plan.access_buses(comp, v);
-                    if let Some(first) = chain.first() {
-                        buses.insert(first.clone());
-                    }
-                    if chain.len() == 3 {
-                        ifc_out.insert(comp);
-                        if let Some(mem) = self.plan.memory_of(v) {
-                            ifc_in.insert(mem.home);
-                        }
-                    }
-                }
+            let comp = self.component_of(composite)?;
+            for (child, vars) in guard_reads(b) {
+                let buses = self.master_buses(comp, vars, &mut ifc_out, &mut ifc_in);
                 self.contexts.push(MasterCtx {
-                    key: CtxKey::GuardFetch(comp_b, child),
-                    name: format!("{}_{}_guard", b.name(), self.orig.behavior(child).name()),
+                    key: CtxKey::GuardFetch(composite, child),
+                    name: format!("{}_{}_guard", b.name(), orig.behavior(child).name()),
                     buses,
                 });
             }
         }
 
+        let a = self.plan.assignment();
         for comp in ifc_out {
-            let mut buses = BTreeSet::new();
-            if let Some(inter) = self.plan.inter_bus_name() {
-                buses.insert(inter.to_string());
-            }
             self.contexts.push(MasterCtx {
                 key: CtxKey::IfcOut(comp),
                 name: format!("Bus_interface_p{}_out", comp.index()),
-                buses,
+                buses: a.inter_bus().into_iter().collect(),
             });
         }
         for comp in ifc_in {
-            let mut buses = BTreeSet::new();
-            if let Some(local) = self.plan.local_bus_of(comp) {
-                buses.insert(local.to_string());
-            }
             self.contexts.push(MasterCtx {
                 key: CtxKey::IfcIn(comp),
                 name: format!("Bus_interface_p{}_in", comp.index()),
-                buses,
+                buses: a.local_bus_of(comp).into_iter().collect(),
             });
         }
         Ok(())
     }
 
+    /// The buses a master on `comp` drives to reach `vars` — the first
+    /// bus of each access's chain. A Model4 remote access also makes
+    /// `comp`'s outbound interface and the memory home's inbound
+    /// interface masters.
+    fn master_buses(
+        &self,
+        comp: ComponentId,
+        vars: impl IntoIterator<Item = VarId>,
+        ifc_out: &mut BTreeSet<ComponentId>,
+        ifc_in: &mut BTreeSet<ComponentId>,
+    ) -> BTreeSet<usize> {
+        let a = self.plan.assignment();
+        let mut buses = BTreeSet::new();
+        for v in vars {
+            let chain = a.chain(comp, v);
+            let Some(&first) = chain.as_slice().first() else {
+                continue;
+            };
+            buses.insert(first);
+            if chain.as_slice().len() == 3 {
+                ifc_out.insert(comp);
+                if let Some(mem) = a.memory_of(v) {
+                    ifc_in.insert(a.memories()[mem].0);
+                }
+            }
+        }
+        buses
+    }
+
+    /// Generates each bus's master protocol subroutines: one plain pair
+    /// for a single master, else a pair per master slot with its
+    /// request/acknowledge wires and a bus arbiter (Figure 7).
     fn create_protocols_and_arbiters(&mut self) {
         let (addr_bits, data_bits) = (self.plan.addr_bits, self.plan.data_bits);
-        for bus in self.plan.buses().to_vec() {
-            let masters: Vec<MasterCtx> = self
+        for (bus, plan) in self.plan.buses().iter().enumerate() {
+            let name = plan.name.as_str();
+            let masters: Vec<&MasterCtx> = self
                 .contexts
                 .iter()
-                .filter(|c| c.buses.contains(&bus.name))
-                .cloned()
+                .filter(|c| c.buses.contains(&bus))
                 .collect();
-            let wires = self.wires[&bus.name];
-            if masters.len() >= 2 {
-                let mut reqacks = Vec::new();
-                for (slot, ctx) in masters.iter().enumerate() {
-                    let ra = ReqAck::create(&mut self.out, &bus.name, slot);
-                    let suffix = format!("_m{slot}");
-                    let recv = make_mst_receive(
-                        &mut self.out,
-                        &bus.name,
-                        wires,
-                        addr_bits,
-                        data_bits,
-                        &suffix,
-                        Some(ra),
-                    );
-                    let send = make_mst_send(
-                        &mut self.out,
-                        &bus.name,
-                        wires,
-                        addr_bits,
-                        data_bits,
-                        &suffix,
-                        Some(ra),
-                    );
-                    self.ctx_subs
-                        .insert((bus.name.clone(), ctx.key), (recv, send));
-                    reqacks.push(ra);
-                }
+            let shared = masters.len() >= 2;
+            let wires = self.wires[bus];
+            let mut reqacks = Vec::new();
+            for (slot, ctx) in masters.iter().enumerate() {
+                let ra = shared.then(|| ReqAck::create(&mut self.out, name, slot));
+                let suffix = if shared {
+                    format!("_m{slot}")
+                } else {
+                    String::new()
+                };
+                let recv = make_mst_receive(
+                    &mut self.out,
+                    name,
+                    wires,
+                    addr_bits,
+                    data_bits,
+                    &suffix,
+                    ra,
+                );
+                let send = make_mst_send(
+                    &mut self.out,
+                    name,
+                    wires,
+                    addr_bits,
+                    data_bits,
+                    &suffix,
+                    ra,
+                );
+                self.ctx_subs.insert((bus, ctx.key), (recv, send));
+                reqacks.extend(ra);
+            }
+            if shared {
                 let arb = make_arbiter_with_policy(
                     &mut self.out,
-                    &bus.name,
+                    name,
                     &reqacks,
                     self.options.arbiter_policy,
                 );
                 self.servers.push(arb);
                 self.arch.arbiters.push(ArbiterDesc {
                     name: self.out.behavior(arb).name().to_string(),
-                    bus: bus.name.clone(),
+                    bus: name.to_string(),
                     masters: masters.iter().map(|m| m.name.clone()).collect(),
                 });
-            } else if masters.len() == 1 {
-                let recv = make_mst_receive(
-                    &mut self.out,
-                    &bus.name,
-                    wires,
-                    addr_bits,
-                    data_bits,
-                    "",
-                    None,
-                );
-                let send = make_mst_send(
-                    &mut self.out,
-                    &bus.name,
-                    wires,
-                    addr_bits,
-                    data_bits,
-                    "",
-                    None,
-                );
-                self.ctx_subs
-                    .insert((bus.name.clone(), masters[0].key), (recv, send));
             }
         }
     }
@@ -482,39 +471,29 @@ impl<'a> Builder<'a> {
         comp: ComponentId,
         vars: impl IntoIterator<Item = VarId>,
     ) -> HashMap<VarId, VarAccess> {
-        let mut table = HashMap::new();
-        for v in vars {
-            let Some(mem) = self.plan.memory_of(v) else {
-                continue;
-            };
-            let chain = self.plan.access_buses(comp, v);
-            let Some(first) = chain.first() else { continue };
-            let Some(&(recv, send)) = self.ctx_subs.get(&(first.clone(), key)) else {
-                continue;
-            };
-            let base = self.plan.addr.base(v).expect("memory vars are mapped");
-            let elems = self.orig.variable(v).ty().element_count();
-            let _ = mem;
-            table.insert(
-                self.vmap[&v],
-                VarAccess {
-                    base,
-                    elems,
+        let a = self.plan.assignment();
+        vars.into_iter()
+            .filter_map(|v| {
+                let &first = a.chain(comp, v).as_slice().first()?;
+                let &(recv, send) = self.ctx_subs.get(&(first, key))?;
+                let access = VarAccess {
+                    base: self.plan.addr.base(v).expect("memory vars are mapped"),
+                    elems: self.orig.variable(v).ty().element_count(),
                     recv,
                     send,
-                },
-            );
-        }
-        table
+                };
+                Some((self.vmap[&v], access))
+            })
+            .collect()
     }
 
     // --- step 3: hierarchy copy (control + data refinement) ---
 
     fn copy_behavior(&mut self, id: BehaviorId) -> Result<BehaviorId, RefineError> {
-        let b = self.orig.behavior(id).clone();
+        let b = self.orig.behavior(id);
         match b.kind() {
-            BehaviorKind::Leaf { body } => {
-                let refined = self.refine_leaf_body(id, body)?;
+            BehaviorKind::Leaf { .. } => {
+                let refined = self.refine_leaf_body(id)?;
                 Ok(self.out.add_behavior(Behavior::new(
                     b.name().to_string(),
                     BehaviorKind::Leaf { body: refined },
@@ -528,7 +507,7 @@ impl<'a> Builder<'a> {
                 let mut occupant: HashMap<BehaviorId, BehaviorId> = HashMap::new();
                 let mut new_children = Vec::new();
                 for &c in children {
-                    let o = self.copy_child(id, comp, c)?;
+                    let o = self.copy_child(comp, c)?;
                     occupant.insert(c, o);
                     new_children.push(o);
                 }
@@ -553,14 +532,14 @@ impl<'a> Builder<'a> {
                         transitions: new_transitions,
                     },
                 ));
-                self.insert_guard_fetches(id, comp, new_id, &occupant)?;
+                self.insert_guard_fetches(id, comp, new_id, &occupant);
                 Ok(new_id)
             }
             BehaviorKind::Concurrent { children } => {
                 let comp = self.component_of(id)?;
                 let mut new_children = Vec::new();
                 for &c in children {
-                    new_children.push(self.copy_child(id, comp, c)?);
+                    new_children.push(self.copy_child(comp, c)?);
                 }
                 Ok(self.out.add_behavior(Behavior::new(
                     b.name().to_string(),
@@ -576,7 +555,6 @@ impl<'a> Builder<'a> {
     /// applying control refinement when the child is assigned elsewhere.
     fn copy_child(
         &mut self,
-        _parent: BehaviorId,
         parent_comp: ComponentId,
         c: BehaviorId,
     ) -> Result<BehaviorId, RefineError> {
@@ -585,80 +563,64 @@ impl<'a> Builder<'a> {
             return self.copy_behavior(c);
         }
         // Control-related refinement: B_CTRL here, B_NEW concurrently.
-        let base = self.orig.behavior(c).name().to_string();
-        let sigs = ControlSignals::create(&mut self.out, &base);
-        let bctrl = make_bctrl(&mut self.out, &base, sigs);
+        let base = self.orig.behavior(c).name();
+        let sigs = ControlSignals::create(&mut self.out, base);
+        let bctrl = make_bctrl(&mut self.out, base, sigs);
         let bnew = if self.orig.behavior(c).is_leaf() {
-            let body = self.orig.behavior(c).body().expect("leaf").to_vec();
-            let refined = self.refine_leaf_body(c, &body)?;
-            make_bnew_leaf(&mut self.out, &base, sigs, refined)
+            let refined = self.refine_leaf_body(c)?;
+            make_bnew_leaf(&mut self.out, base, sigs, refined)
         } else {
             let inner = self.copy_behavior(c)?;
-            make_bnew_composite(&mut self.out, &base, sigs, inner)
+            make_bnew_composite(&mut self.out, base, sigs, inner)
         };
         self.servers.push(bnew);
         Ok(bctrl)
     }
 
-    fn refine_leaf_body(
-        &mut self,
-        leaf: BehaviorId,
-        body: &[Stmt],
-    ) -> Result<Vec<Stmt>, RefineError> {
+    /// Data refinement of one original leaf's body (Figure 5).
+    fn refine_leaf_body(&mut self, leaf: BehaviorId) -> Result<Vec<Stmt>, RefineError> {
         let comp = self.component_of(leaf)?;
-        let remapped = self.remap_stmts(body);
+        let b = self.orig.behavior(leaf);
+        let remapped = self.remap_stmts(b.body().expect("leaf"));
         let vars = collect_body_vars(self.orig, leaf);
         let table = self.access_table(CtxKey::LeafBody(leaf), comp, vars);
-        let prefix = self.orig.behavior(leaf).name().to_string();
-        let mut refiner =
-            DataRefiner::with_coalescing(&mut self.out, prefix, table, self.options.coalesce_reads);
+        let mut refiner = DataRefiner::with_coalescing(
+            &mut self.out,
+            b.name(),
+            table,
+            self.options.coalesce_reads,
+        );
         Ok(refiner.refine_body(remapped))
     }
 
-    /// Rewrites a transition guard: ids remapped, memory-variable reads
-    /// replaced by the composite's guard temporaries (Figure 6).
-    fn refine_guard_expr(&mut self, composite: BehaviorId, cond: &Expr) -> Expr {
-        let remapped = self.remap_expr(cond);
-        self.substitute_guard_tmps(composite, remapped)
-    }
-
-    fn substitute_guard_tmps(&mut self, composite: BehaviorId, e: Expr) -> Expr {
+    /// Rewrites an original transition guard of `composite`: memory
+    /// variables read the composite's guard temporaries (Figure 6), and
+    /// every other id is remapped. An index is visited before its array,
+    /// as evaluation order creates the temporaries.
+    fn refine_guard_expr(&mut self, composite: BehaviorId, e: &Expr) -> Expr {
         match e {
-            Expr::Var(new_v) => {
-                // Find the original id for plan lookups.
-                let orig_v = self
-                    .vmap
-                    .iter()
-                    .find(|(_, &nv)| nv == new_v)
-                    .map(|(&ov, _)| ov);
-                match orig_v {
-                    Some(ov) if self.plan.memory_of(ov).is_some() => {
-                        Expr::Var(self.guard_tmp_for(composite, ov))
-                    }
-                    _ => Expr::Var(new_v),
-                }
+            Expr::Var(v) if self.plan.memory_of(*v).is_some() => {
+                Expr::Var(self.guard_tmp_for(composite, *v))
             }
             Expr::Index(v, idx) => {
-                let idx = self.substitute_guard_tmps(composite, *idx);
+                let idx = self.refine_guard_expr(composite, idx);
                 // Guards over array elements fetch the element into the
                 // same temporary (one per array variable).
-                let orig_v = self.vmap.iter().find(|(_, &nv)| nv == v).map(|(&ov, _)| ov);
-                match orig_v {
-                    Some(ov) if self.plan.memory_of(ov).is_some() => {
-                        Expr::Var(self.guard_tmp_for(composite, ov))
-                    }
-                    _ => Expr::Index(v, Box::new(idx)),
+                if self.plan.memory_of(*v).is_some() {
+                    Expr::Var(self.guard_tmp_for(composite, *v))
+                } else {
+                    Expr::Index(self.vmap[v], Box::new(idx))
                 }
             }
             Expr::Unary(op, inner) => {
-                Expr::Unary(op, Box::new(self.substitute_guard_tmps(composite, *inner)))
+                Expr::Unary(*op, Box::new(self.refine_guard_expr(composite, inner)))
             }
             Expr::Binary(op, l, r) => Expr::Binary(
-                op,
-                Box::new(self.substitute_guard_tmps(composite, *l)),
-                Box::new(self.substitute_guard_tmps(composite, *r)),
+                *op,
+                Box::new(self.refine_guard_expr(composite, l)),
+                Box::new(self.refine_guard_expr(composite, r)),
             ),
-            leaf => leaf,
+            other => self.remap_expr(other),
         }
     }
 
@@ -666,21 +628,15 @@ impl<'a> Builder<'a> {
         if let Some(&t) = self.guard_tmp.get(&(composite, orig_var)) {
             return t;
         }
+        let var = self.orig.variable(orig_var);
         let name = self.out.fresh_variable_name(&format!(
             "{}_tmp_{}",
             self.orig.behavior(composite).name(),
-            self.orig.variable(orig_var).name()
+            var.name()
         ));
-        let ty = match self.orig.variable(orig_var).ty() {
-            modref_spec::DataType::Array { elem, .. } => match elem {
-                modref_spec::types::ScalarType::Bit => modref_spec::DataType::Bit,
-                modref_spec::types::ScalarType::Bool => modref_spec::DataType::Bool,
-                modref_spec::types::ScalarType::Int(w) => modref_spec::DataType::int(*w),
-                modref_spec::types::ScalarType::Uint(w) => modref_spec::DataType::uint(*w),
-            },
-            scalar => *scalar,
-        };
-        let t = self.out.add_variable(name, ty, 0, None);
+        let t = self
+            .out
+            .add_variable(name, var.ty().access_scalar().into(), 0, None);
         self.guard_tmp.insert((composite, orig_var), t);
         t
     }
@@ -694,101 +650,67 @@ impl<'a> Builder<'a> {
         comp: ComponentId,
         new_composite: BehaviorId,
         occupant: &HashMap<BehaviorId, BehaviorId>,
-    ) -> Result<(), RefineError> {
-        let b = self.orig.behavior(composite).clone();
-        let mut per_child: HashMap<BehaviorId, BTreeSet<VarId>> = HashMap::new();
-        for t in b.transitions() {
-            if let Some(cond) = &t.cond {
-                per_child.entry(t.from).or_default().extend(cond.reads());
-            }
-        }
-        let mut items: Vec<_> = per_child.into_iter().collect();
-        items.sort_by_key(|(c, _)| *c);
-        for (child, vars) in items {
-            if vars.is_empty() {
-                continue;
-            }
+    ) {
+        for (child, vars) in guard_reads(self.orig.behavior(composite)) {
             let key = CtxKey::GuardFetch(composite, child);
             let table = self.access_table(key, comp, vars.iter().copied());
             // Fetch each guard variable into the composite's shared tmp.
             let mut fetches = Vec::new();
-            for &v in &vars {
+            for v in vars {
                 let tmp = self.guard_tmp_for(composite, v);
-                let new_v = self.vmap[&v];
-                if let Some(acc) = table.get(&new_v) {
-                    fetches.push(Stmt::Call {
-                        sub: acc.recv,
-                        args: vec![
-                            CallArg::In(Expr::Lit(acc.base as i64)),
-                            CallArg::Out(LValue::Var(tmp)),
-                        ],
-                    });
+                if let Some(&access) = table.get(&self.vmap[&v]) {
+                    fetches.push(fetch_call(access, expr::lit(access.base as i64), tmp));
                 }
             }
             if fetches.is_empty() {
                 continue;
             }
             let o = occupant[&child];
-            if self.out.behavior(o).is_leaf() {
-                self.out
-                    .behavior_mut(o)
-                    .body_mut()
-                    .expect("leaf occupant")
-                    .extend(fetches);
-            } else {
-                // Interpose a fetch leaf after the composite occupant.
-                let fetch_name = self
-                    .out
-                    .fresh_behavior_name(&format!("{}_fetch", self.orig.behavior(child).name()));
-                let fetch_leaf = self.out.add_behavior(Behavior::new(
-                    fetch_name,
-                    BehaviorKind::Leaf { body: fetches },
-                ));
-                match self.out.behavior_mut(new_composite).kind_mut() {
-                    BehaviorKind::Seq {
-                        children,
-                        transitions,
-                    } => {
-                        let pos = children
-                            .iter()
-                            .position(|&c| c == o)
-                            .expect("occupant is a child");
-                        children.insert(pos + 1, fetch_leaf);
-                        for t in transitions.iter_mut() {
-                            if t.from == o {
-                                t.from = fetch_leaf;
-                            }
-                        }
-                        transitions.push(Transition {
-                            from: o,
-                            cond: None,
-                            to: TransitionTarget::Behavior(fetch_leaf),
-                        });
-                    }
-                    _ => unreachable!("guard fetches only occur in seq composites"),
+            if let Some(body) = self.out.behavior_mut(o).body_mut() {
+                body.extend(fetches);
+                continue;
+            }
+            // Interpose a fetch leaf after the composite occupant.
+            let fetch_name = self
+                .out
+                .fresh_behavior_name(&format!("{}_fetch", self.orig.behavior(child).name()));
+            let fetch_leaf = self.out.add_behavior(Behavior::new(
+                fetch_name,
+                BehaviorKind::Leaf { body: fetches },
+            ));
+            let BehaviorKind::Seq {
+                children,
+                transitions,
+            } = self.out.behavior_mut(new_composite).kind_mut()
+            else {
+                unreachable!("guard fetches only occur in seq composites")
+            };
+            let pos = children
+                .iter()
+                .position(|&c| c == o)
+                .expect("occupant is a child");
+            children.insert(pos + 1, fetch_leaf);
+            for t in transitions.iter_mut() {
+                if t.from == o {
+                    t.from = fetch_leaf;
                 }
             }
+            transitions.push(Transition {
+                from: o,
+                cond: None,
+                to: TransitionTarget::Behavior(fetch_leaf),
+            });
         }
-        Ok(())
     }
 
     // --- step 4: memories and interfaces ---
 
-    fn slv_subs_for(&mut self, bus: &str) -> SlvSubs {
-        if let Some(&subs) = self.slv_subs.get(bus) {
-            return subs;
-        }
-        let wires = self.wires[bus];
-        let subs = SlvSubs {
-            send: make_slv_send(&mut self.out, bus, wires, self.plan.data_bits),
-            recv: make_slv_receive(&mut self.out, bus, wires, self.plan.data_bits),
-        };
-        self.slv_subs.insert(bus.to_string(), subs);
-        subs
-    }
-
+    /// Fills each memory's ports with serve loops: port 0 fills the
+    /// placeholder its variables are scoped to, and Model3's
+    /// multi-port global memories get one more behavior per port.
     fn fill_memories(&mut self) {
-        for (idx, mem) in self.plan.memories.clone().iter().enumerate() {
+        let data_bits = self.plan.data_bits;
+        for (idx, mem) in self.plan.memories.iter().enumerate() {
             let vars: Vec<MemoryVar> = mem
                 .vars
                 .iter()
@@ -799,102 +721,68 @@ impl<'a> Builder<'a> {
                 })
                 .collect();
             let decode = self.plan.addr.range_of(self.orig, &mem.vars);
-            // Port 0 fills the placeholder (variables are scoped to it).
-            let port0 = self.mem_port0[idx];
-            let wires = self.wires[&mem.port_buses[0]];
-            let slv = self.slv_subs_for(&mem.port_buses[0]);
-            *self.out.behavior_mut(port0).kind_mut() = BehaviorKind::Leaf {
-                body: memory_port_body(wires, &vars, decode, Some(slv)),
-            };
-            self.servers.push(port0);
-            // Extra ports (Model3 multi-port global memories).
-            for (j, bus) in mem.port_buses.clone().iter().enumerate().skip(1) {
+            let a = self.plan.assignment();
+            for (port, bus) in a.memory_ports(idx).into_iter().enumerate() {
                 let wires = self.wires[bus];
-                let slv = self.slv_subs_for(bus);
-                let name = self
-                    .out
-                    .fresh_behavior_name(&format!("{}_port{j}", mem.name));
-                let port = self.out.add_behavior(Behavior::new_server(
-                    name,
-                    BehaviorKind::Leaf {
-                        body: memory_port_body(wires, &vars, decode, Some(slv)),
-                    },
-                ));
-                self.servers.push(port);
+                let slv = *self.slv_subs[bus].get_or_insert_with(|| SlvSubs {
+                    send: make_slv_send(&mut self.out, a.name(bus), wires, data_bits),
+                    recv: make_slv_receive(&mut self.out, a.name(bus), wires, data_bits),
+                });
+                let body = memory_port_body(wires, &vars, decode, Some(slv));
+                let id = if port == 0 {
+                    let port0 = self.mem_port0[idx];
+                    *self.out.behavior_mut(port0).kind_mut() = BehaviorKind::Leaf { body };
+                    port0
+                } else {
+                    let name = self
+                        .out
+                        .fresh_behavior_name(&format!("{}_port{port}", mem.name));
+                    self.out
+                        .add_behavior(Behavior::new_server(name, BehaviorKind::Leaf { body }))
+                };
+                self.servers.push(id);
             }
         }
     }
 
-    fn create_interfaces(&mut self) -> Result<(), RefineError> {
-        let out_ctxs: Vec<(ComponentId, CtxKey)> = self
-            .contexts
-            .iter()
-            .filter_map(|c| match c.key {
-                CtxKey::IfcOut(comp) => Some((comp, c.key)),
-                _ => None,
-            })
-            .collect();
-        for (comp, key) in out_ctxs {
-            let serve_bus = self
-                .plan
-                .ifc_bus_of(comp)
-                .expect("Model4 plans interface buses")
-                .to_string();
-            let inter = self
-                .plan
-                .inter_bus_name()
-                .expect("Model4 plans an inter bus")
-                .to_string();
-            let (recv, send) = self.ctx_subs[&(inter.clone(), key)];
+    /// Generates the Model4 bus interfaces (Figure 8) in context order:
+    /// an outbound interface serves its component's interface-access bus
+    /// and masters the inter-component bus; an inbound one serves the
+    /// inter-component bus, decodes its component's memory range and
+    /// masters its local bus.
+    fn create_interfaces(&mut self) {
+        let a = self.plan.assignment();
+        for ctx in &self.contexts {
+            let (comp, serves, masters, decode) = match ctx.key {
+                CtxKey::IfcOut(comp) => (
+                    comp,
+                    a.ifc_bus_of(comp).expect("Model4 plans interface buses"),
+                    a.inter_bus().expect("Model4 plans an inter bus"),
+                    None,
+                ),
+                CtxKey::IfcIn(comp) => {
+                    let mem_vars: Vec<VarId> = self
+                        .plan
+                        .memories
+                        .iter()
+                        .filter(|m| m.component == Some(comp))
+                        .flat_map(|m| m.vars.iter().copied())
+                        .collect();
+                    (
+                        comp,
+                        a.inter_bus().expect("Model4 plans an inter bus"),
+                        a.local_bus_of(comp)
+                            .expect("remote target has a local memory"),
+                        self.plan.addr.range_of(self.orig, &mem_vars),
+                    )
+                }
+                CtxKey::LeafBody(_) | CtxKey::GuardFetch(..) => continue,
+            };
+            let (recv, send) = self.ctx_subs[&(masters, ctx.key)];
             let (id, _) = make_interface(
                 &mut self.out,
-                &format!("Bus_interface_p{}_out", comp.index()),
-                self.wires[&serve_bus],
-                None,
-                ForwardSubs { recv, send },
-            );
-            self.servers.push(id);
-            self.arch.interfaces.push(InterfaceDesc {
-                name: self.out.behavior(id).name().to_string(),
-                component_name: format!("p{}", comp.index()),
-                serves_bus: serve_bus,
-                masters_bus: inter,
-            });
-        }
-
-        let in_ctxs: Vec<(ComponentId, CtxKey)> = self
-            .contexts
-            .iter()
-            .filter_map(|c| match c.key {
-                CtxKey::IfcIn(comp) => Some((comp, c.key)),
-                _ => None,
-            })
-            .collect();
-        for (comp, key) in in_ctxs {
-            let inter = self
-                .plan
-                .inter_bus_name()
-                .expect("Model4 plans an inter bus")
-                .to_string();
-            let local = self
-                .plan
-                .local_bus_of(comp)
-                .expect("remote target has a local memory")
-                .to_string();
-            let (recv, send) = self.ctx_subs[&(local.clone(), key)];
-            // Decode: the component's local memory range.
-            let mem_vars: Vec<VarId> = self
-                .plan
-                .memories
-                .iter()
-                .filter(|m| m.home == comp)
-                .flat_map(|m| m.vars.iter().copied())
-                .collect();
-            let decode = self.plan.addr.range_of(self.orig, &mem_vars);
-            let (id, _) = make_interface(
-                &mut self.out,
-                &format!("Bus_interface_p{}_in", comp.index()),
-                self.wires[&inter],
+                &ctx.name,
+                self.wires[serves],
                 decode,
                 ForwardSubs { recv, send },
             );
@@ -902,19 +790,18 @@ impl<'a> Builder<'a> {
             self.arch.interfaces.push(InterfaceDesc {
                 name: self.out.behavior(id).name().to_string(),
                 component_name: format!("p{}", comp.index()),
-                serves_bus: inter,
-                masters_bus: local,
+                serves_bus: a.name(serves).to_string(),
+                masters_bus: a.name(masters).to_string(),
             });
         }
-        Ok(())
     }
 
     fn populate_architecture(&mut self) {
-        for bus in self.plan.buses() {
+        for (idx, bus) in self.plan.buses().iter().enumerate() {
             let masters: Vec<String> = self
                 .contexts
                 .iter()
-                .filter(|c| c.buses.contains(&bus.name))
+                .filter(|c| c.buses.contains(&idx))
                 .map(|c| c.name.clone())
                 .collect();
             let mut slaves: Vec<String> = self
@@ -940,25 +827,7 @@ impl<'a> Builder<'a> {
                 slaves,
             });
         }
-        for mem in &self.plan.memories {
-            self.arch.memories.push(MemoryModule {
-                name: mem.name.clone(),
-                component: Some(mem.home),
-                global: mem.global,
-                port_buses: mem.port_buses.clone(),
-                vars: mem.vars.clone(),
-                words: mem
-                    .vars
-                    .iter()
-                    .map(|&v| u64::from(self.orig.variable(v).ty().element_count()))
-                    .sum(),
-                bits: mem
-                    .vars
-                    .iter()
-                    .map(|&v| u64::from(self.orig.variable(v).ty().bit_width()))
-                    .sum(),
-            });
-        }
+        self.arch.memories = self.plan.memories.clone();
     }
 
     // --- id remapping helpers ---
@@ -1061,6 +930,20 @@ fn collect_body_vars(spec: &Spec, leaf: BehaviorId) -> BTreeSet<VarId> {
         });
     }
     vars
+}
+
+/// The variables each child's outgoing transition guards read, for
+/// the children of `b` whose guards read any — the reads a guard fetch
+/// after that child supplies (Figure 6).
+fn guard_reads(b: &Behavior) -> BTreeMap<BehaviorId, BTreeSet<VarId>> {
+    let mut reads: BTreeMap<BehaviorId, BTreeSet<VarId>> = BTreeMap::new();
+    for t in b.transitions() {
+        if let Some(cond) = &t.cond {
+            reads.entry(t.from).or_default().extend(cond.reads());
+        }
+    }
+    reads.retain(|_, vars| !vars.is_empty());
+    reads
 }
 
 #[cfg(test)]

@@ -51,6 +51,10 @@ pub fn channel_rate_memo(
 
 /// `bits_per_activation / lifetime` in Mbit/s, asking for the lifetime
 /// only when the channel has a behavior and carries bits.
+///
+/// The rate saturates: an access count that overflows to infinity over a
+/// lifetime that does too is `inf / inf`, which reads as an infinite
+/// rate rather than NaN, so such a channel still ranks as the hot spot.
 fn rate_over(channel: &Channel, lifetime_of: impl FnOnce(BehaviorId) -> f64) -> f64 {
     let Some(behavior) = channel.behavior() else {
         return 0.0;
@@ -59,7 +63,12 @@ fn rate_over(channel: &Channel, lifetime_of: impl FnOnce(BehaviorId) -> f64) -> 
     if bits == 0.0 {
         return 0.0;
     }
-    bits / lifetime_of(behavior).max(1.0) * MBITS_PER_BIT_PER_NS
+    let rate = bits / lifetime_of(behavior).max(1.0) * MBITS_PER_BIT_PER_NS;
+    if rate.is_nan() {
+        f64::INFINITY
+    } else {
+        rate
+    }
 }
 
 /// Per-bus transfer rates: bus name → Mbit/s.
@@ -203,6 +212,38 @@ mod tests {
         }
         // One lifetime per (behavior, model), shared by both channels.
         assert_eq!(table.len(), 2);
+    }
+
+    #[test]
+    fn overflowing_rates_saturate_instead_of_turning_nan() {
+        // Twenty nested near-`i64::MAX` loops overflow the access count.
+        let mut b = SpecBuilder::new("overflow");
+        let x = b.var_int("x", 64, 0);
+        let mut body = vec![stmt::assign(x, expr::add(expr::var(x), expr::lit(1)))];
+        for k in 0..20 {
+            let i = b.var_int(format!("i{k}"), 64, 0);
+            body = vec![stmt::for_loop(
+                i,
+                expr::lit(0),
+                expr::lit(i64::MAX - 1),
+                body,
+            )];
+        }
+        let leaf = b.leaf("L", body);
+        let spec = b.finish(leaf).expect("valid");
+        let graph = AccessGraph::derive(&spec);
+        let x_read = graph
+            .data_channels()
+            .find(|c| c.var() == Some(x))
+            .expect("x channel");
+        assert_eq!(x_read.bits_per_activation(), f64::INFINITY);
+        assert_eq!(rate_over(x_read, |_| f64::INFINITY), f64::INFINITY);
+        assert_eq!(rate_over(x_read, |_| 1e9), f64::INFINITY);
+        let cfg = LifetimeConfig::default();
+        for ch in graph.data_channels() {
+            let rate = channel_rate(&spec, ch, &|_| TimingModel::processor(), &cfg);
+            assert!(!rate.is_nan(), "{ch:?}");
+        }
     }
 
     #[test]

@@ -44,17 +44,6 @@ impl SimulatedAnnealing {
 }
 
 impl Partitioner for SimulatedAnnealing {
-    fn partition(
-        &self,
-        spec: &Spec,
-        graph: &AccessGraph,
-        allocation: &Allocation,
-        config: &CostConfig,
-    ) -> Partition {
-        let mut table = LifetimeTable::new(config.lifetime);
-        self.partition_with_table(spec, graph, allocation, config, &mut table)
-    }
-
     fn partition_with_table(
         &self,
         spec: &Spec,

@@ -122,17 +122,6 @@ impl Default for HierarchicalClustering {
 }
 
 impl Partitioner for HierarchicalClustering {
-    fn partition(
-        &self,
-        spec: &Spec,
-        graph: &AccessGraph,
-        allocation: &Allocation,
-        config: &CostConfig,
-    ) -> Partition {
-        let mut table = LifetimeTable::new(config.lifetime);
-        self.partition_with_table(spec, graph, allocation, config, &mut table)
-    }
-
     fn partition_with_table(
         &self,
         spec: &Spec,

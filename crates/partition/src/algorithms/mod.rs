@@ -35,20 +35,10 @@ use crate::cost::CostConfig;
 /// A partitioning algorithm.
 pub trait Partitioner {
     /// Produces a partition of `spec`'s leaf behaviors and variables over
-    /// `allocation`'s components.
-    fn partition(
-        &self,
-        spec: &Spec,
-        graph: &AccessGraph,
-        allocation: &Allocation,
-        config: &CostConfig,
-    ) -> Partition;
-
-    /// Like [`Partitioner::partition`], but reusing a caller-owned
-    /// memoized [`LifetimeTable`] for every lifetime estimate, so
-    /// repeated runs (the multi-start explorer) never re-walk a
-    /// statement tree whose lifetime is already known. The default
-    /// ignores the table; every iterative partitioner overrides it.
+    /// `allocation`'s components, taking every lifetime estimate from a
+    /// caller-owned memoized [`LifetimeTable`], so repeated runs (the
+    /// multi-start explorer) never re-walk a statement tree whose
+    /// lifetime is already known.
     fn partition_with_table(
         &self,
         spec: &Spec,
@@ -56,9 +46,19 @@ pub trait Partitioner {
         allocation: &Allocation,
         config: &CostConfig,
         table: &mut LifetimeTable,
+    ) -> Partition;
+
+    /// [`Partitioner::partition_with_table`] with a fresh table for
+    /// `config`'s lifetime settings.
+    fn partition(
+        &self,
+        spec: &Spec,
+        graph: &AccessGraph,
+        allocation: &Allocation,
+        config: &CostConfig,
     ) -> Partition {
-        let _ = table;
-        self.partition(spec, graph, allocation, config)
+        let mut table = LifetimeTable::new(config.lifetime);
+        self.partition_with_table(spec, graph, allocation, config, &mut table)
     }
 
     /// A short name for reports.

@@ -3,6 +3,7 @@
 
 use modref_rng::Rng;
 
+use modref_estimate::LifetimeTable;
 use modref_graph::AccessGraph;
 use modref_spec::Spec;
 
@@ -27,12 +28,13 @@ impl RandomPartitioner {
 }
 
 impl Partitioner for RandomPartitioner {
-    fn partition(
+    fn partition_with_table(
         &self,
         spec: &Spec,
         _graph: &AccessGraph,
         allocation: &Allocation,
         _config: &CostConfig,
+        _table: &mut LifetimeTable,
     ) -> Partition {
         let mut rng = Rng::seed_from_u64(self.seed);
         let ids = allocation.ids();

@@ -352,12 +352,7 @@ impl Parser {
             self.expect(&TokenKind::RBracket)?;
             Ok(DataType::array(scalar, len as u32))
         } else {
-            Ok(match scalar {
-                ScalarType::Bit => DataType::Bit,
-                ScalarType::Bool => DataType::Bool,
-                ScalarType::Int(w) => DataType::int(w),
-                ScalarType::Uint(w) => DataType::uint(w),
-            })
+            Ok(scalar.into())
         }
     }
 

@@ -143,6 +143,18 @@ impl DataType {
     }
 }
 
+impl From<ScalarType> for DataType {
+    /// The scalar as a variable type: the type of one array element.
+    fn from(scalar: ScalarType) -> Self {
+        match scalar {
+            ScalarType::Bit => DataType::Bit,
+            ScalarType::Bool => DataType::Bool,
+            ScalarType::Int(width) => DataType::Int { width },
+            ScalarType::Uint(width) => DataType::Uint { width },
+        }
+    }
+}
+
 impl Default for DataType {
     fn default() -> Self {
         DataType::Int { width: 16 }
@@ -197,6 +209,22 @@ mod tests {
     fn access_width_of_scalar_is_full_width() {
         assert_eq!(DataType::int(12).access_width(), 12);
         assert_eq!(DataType::int(12).element_count(), 1);
+    }
+
+    #[test]
+    fn scalars_convert_back_from_their_access_scalar() {
+        for t in [
+            DataType::Bit,
+            DataType::Bool,
+            DataType::int(12),
+            DataType::uint(3),
+        ] {
+            assert_eq!(DataType::from(t.access_scalar()), t);
+        }
+        assert_eq!(
+            DataType::from(DataType::array(ScalarType::Uint(4), 10).access_scalar()),
+            DataType::uint(4)
+        );
     }
 
     #[test]
