@@ -50,17 +50,16 @@ use crate::absint::{self, Entity, Interval, Ranges};
 use crate::cfg::{Cfg, NodeId};
 use crate::diag::{Diagnostic, Severity};
 
-/// A request/acknowledge handshake pair the `DL05` check should
-/// examine, in addition to the pairs it infers from server bodies. The
-/// refiner knows its arbiters' wiring exactly and passes them here.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HandshakePair {
+/// A request/acknowledge handshake pair the `DL05` check examines,
+/// inferred from a server's body.
+#[derive(Debug)]
+struct HandshakePair {
     /// The request line the master drives.
-    pub req: SignalId,
+    req: SignalId,
     /// The acknowledge line the server drives.
-    pub ack: SignalId,
+    ack: SignalId,
     /// The server (arbiter) behavior owning the grant protocol.
-    pub server: BehaviorId,
+    server: BehaviorId,
 }
 
 /// One statement body under analysis (a leaf behavior's or a
@@ -91,14 +90,9 @@ type WaitKey = (usize, NodeId);
 /// Runs the `DL01`–`DL05` liveness lints over a specification.
 ///
 /// `map` supplies statement positions for parsed specs (pass `None`
-/// for builder-built ones); `extra_handshakes` carries arbiter wiring
-/// from the refiner for the `DL05` check, merged with the pairs the
-/// engine infers from server bodies on its own.
-pub fn deadlock_lints(
-    spec: &Spec,
-    map: Option<&SourceMap>,
-    extra_handshakes: &[HandshakePair],
-) -> Vec<Diagnostic> {
+/// for builder-built ones). The `DL05` check infers its request/ack
+/// pairs from server bodies.
+pub fn deadlock_lints(spec: &Spec, map: Option<&SourceMap>) -> Vec<Diagnostic> {
     let Some(_top) = spec.top_opt() else {
         return Vec::new();
     };
@@ -265,10 +259,8 @@ pub fn deadlock_lints(
     }
 
     // --- DL05: acquired-but-never-released handshakes ----------------
-    let mut pairs: Vec<HandshakePair> = extra_handshakes.to_vec();
-    pairs.extend(infer_handshakes(spec, &bodies, &behavior_body));
+    let mut pairs = infer_handshakes(spec, &bodies, &behavior_body);
     pairs.sort_by_key(|p| (p.req, p.ack, p.server));
-    pairs.dedup();
     for pair in &pairs {
         diags.extend(check_handshake(
             spec,
@@ -951,7 +943,7 @@ mod tests {
 
     fn lints(src: &str) -> Vec<Diagnostic> {
         let (spec, map) = parse_with_spans(src).expect("syntax ok");
-        let mut diags = deadlock_lints(&spec, Some(&map), &[]);
+        let mut diags = deadlock_lints(&spec, Some(&map));
         crate::diag::sort_canonical(&mut diags);
         diags
     }
@@ -1046,18 +1038,6 @@ mod tests {
         assert_eq!(codes(&diags), ["DL05"], "{diags:?}");
         assert!(diags[0].message.contains("req"), "{diags:?}");
         assert_eq!(diags[0].object.as_deref(), Some("M"));
-    }
-
-    #[test]
-    fn dl05_explicit_pair_dedups_with_inference() {
-        let (spec, map) = parse_with_spans(FOUR_PHASE_NO_RELEASE).expect("syntax ok");
-        let pair = HandshakePair {
-            req: spec.signal_by_name("req").unwrap(),
-            ack: spec.signal_by_name("ack").unwrap(),
-            server: spec.behavior_by_name("A").unwrap(),
-        };
-        let diags = deadlock_lints(&spec, Some(&map), &[pair]);
-        assert_eq!(codes(&diags), ["DL05"], "{diags:?}");
     }
 
     #[test]

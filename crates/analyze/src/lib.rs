@@ -60,7 +60,7 @@ pub mod registry;
 pub mod structural;
 
 pub use conformance::{conformance_lints, BusView, MemoryView, RefinedView};
-pub use deadlock::{deadlock_lints, HandshakePair};
+pub use deadlock::deadlock_lints;
 pub use diag::{render_json_lines, sort_canonical, Diagnostic, Severity, Totals};
 pub use registry::{lint, Lint, LintConfig, LINTS};
 
@@ -80,7 +80,7 @@ pub fn analyze_spec(spec: &Spec, map: &SourceMap) -> Vec<Diagnostic> {
         diags.extend(flow::flow_lints(spec, map));
         let graph = AccessGraph::derive(spec);
         diags.extend(race::race_lints(spec, &graph, map));
-        diags.extend(deadlock::deadlock_lints(spec, Some(map), &[]));
+        diags.extend(deadlock::deadlock_lints(spec, Some(map)));
     }
     sort_canonical(&mut diags);
     diags

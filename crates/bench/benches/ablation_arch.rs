@@ -39,74 +39,5 @@ fn bench_model_overheads(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_arbiter_policy(c: &mut Criterion) {
-    use modref_core::{refine_with_options, ArbiterPolicy, RefineOptions};
-    let spec = medical_spec();
-    let graph = AccessGraph::derive(&spec);
-    let alloc = medical_allocation();
-    let part = medical_partition(&spec, &alloc, Design::Design1);
-
-    let mut group = c.benchmark_group("arbiter_policy");
-    for (name, policy) in [
-        ("priority", ArbiterPolicy::Priority),
-        ("round_robin", ArbiterPolicy::RoundRobin),
-    ] {
-        let options = RefineOptions {
-            arbiter_policy: policy,
-            ..RefineOptions::default()
-        };
-        let refined =
-            refine_with_options(&spec, &graph, &alloc, &part, ImplModel::Model1, &options)
-                .expect("refines");
-        let steps = Simulator::new(&refined.spec)
-            .run()
-            .expect("completes")
-            .steps;
-        eprintln!(
-            "{name}: {steps} micro-steps, {} lines",
-            modref_spec::printer::line_count(&refined.spec)
-        );
-        group.bench_function(name, |b| {
-            b.iter(|| Simulator::new(&refined.spec).run().expect("completes"))
-        });
-    }
-    group.finish();
-}
-
-fn bench_fetch_coalescing(c: &mut Criterion) {
-    use modref_core::{refine_with_options, RefineOptions};
-    let spec = medical_spec();
-    let graph = AccessGraph::derive(&spec);
-    let alloc = medical_allocation();
-    let part = medical_partition(&spec, &alloc, Design::Design1);
-
-    let mut group = c.benchmark_group("fetch_coalescing");
-    for (name, coalesce) in [("per_access", false), ("coalesced", true)] {
-        let options = RefineOptions {
-            coalesce_reads: coalesce,
-            ..RefineOptions::default()
-        };
-        let refined =
-            refine_with_options(&spec, &graph, &alloc, &part, ImplModel::Model1, &options)
-                .expect("refines");
-        let r = Simulator::new(&refined.spec).run().expect("completes");
-        eprintln!(
-            "{name}: {} steps, {} signal writes, {} lines",
-            r.steps,
-            r.signal_writes,
-            modref_spec::printer::line_count(&refined.spec)
-        );
-        group.bench_function(name, |b| {
-            b.iter(|| Simulator::new(&refined.spec).run().expect("completes"))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_model_overheads,
-    bench_arbiter_policy,
-    bench_fetch_coalescing
-);
+criterion_group!(benches, bench_model_overheads);
 criterion_main!(benches);

@@ -54,7 +54,7 @@ fn measure(name: &str, spec: &Spec) -> Row {
         name: name.to_string(),
         behaviors: spec.behaviors().count(),
         analyze_ns: best_time_ns(batches, iters, || analyze_spec(spec, &map)),
-        deadlock_ns: best_time_ns(batches, iters, || deadlock_lints(spec, None, &[])),
+        deadlock_ns: best_time_ns(batches, iters, || deadlock_lints(spec, None)),
     }
 }
 
@@ -69,7 +69,7 @@ fn bench_static_analysis(c: &mut Criterion) {
             b.iter(|| analyze_spec(&spec, &map))
         });
         group.bench_function(format!("deadlock/{name}"), |b| {
-            b.iter(|| deadlock_lints(&spec, None, &[]))
+            b.iter(|| deadlock_lints(&spec, None))
         });
     }
     group.finish();

@@ -53,10 +53,12 @@ struct Global {
 fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let (args, global) = split_global(args)?;
     commands::set_verbosity(global.verbosity);
-    let Some(cmd) = args.first() else {
+    // `--help` anywhere asks for usage; it is never a file or directory.
+    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         print_usage();
         return Ok(());
-    };
+    }
+    let cmd = &args[0];
     validate_flags(cmd, &args)?;
 
     let Some(path) = &global.trace else {
@@ -230,7 +232,7 @@ fn dispatch(cmd: &str, args: &[String]) -> Result<(), Box<dyn std::error::Error>
             let dir = args.get(1).ok_or("usage: modref demo <directory>")?.clone();
             commands::demo(&dir)
         }
-        "help" | "--help" | "-h" => {
+        "help" => {
             print_usage();
             Ok(())
         }

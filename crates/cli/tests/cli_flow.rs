@@ -200,6 +200,30 @@ fn help_prints_usage() {
 }
 
 #[test]
+fn help_flag_prints_usage_and_writes_nothing() {
+    let bin = modref_bin();
+    let dir = tmpdir("help_flag");
+    for args in [
+        &["demo", "--help"][..],
+        &["demo", "-h"],
+        &["check", "--help"],
+        &["refine", "x.spec", "-p", "x.part", "-h"],
+    ] {
+        let out = Command::new(&bin)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?} failed: {stderr}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
+    }
+    let written: Vec<_> = fs::read_dir(&dir).expect("tmpdir").collect();
+    assert!(written.is_empty(), "--help wrote {written:?}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn unknown_flags_error_with_suggestion() {
     let bin = modref_bin();
     let run = |args: &[&str]| {

@@ -5,30 +5,14 @@
 //! grants the highest-priority requester by raising its acknowledge line,
 //! and holds the grant until the master releases its request.
 
-use modref_spec::{expr, stmt, Behavior, BehaviorId, BehaviorKind, DataType, Expr, Spec, Stmt};
+use modref_spec::{expr, stmt, Behavior, BehaviorId, BehaviorKind, Expr, Spec, Stmt};
 
 use crate::protocol::ReqAck;
 
-/// Grant policy of a generated bus arbiter.
-///
-/// The paper's Figure 7 shows a fixed-priority arbiter; the round-robin
-/// variant is provided for the architecture-related ablation (a
-/// lower-priority master can starve under fixed priority when a
-/// high-priority master re-requests immediately).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum ArbiterPolicy {
-    /// Fixed priority: master 0 always wins ties (Figure 7).
-    #[default]
-    Priority,
-    /// Rotating priority: after each grant, the served master becomes
-    /// lowest priority.
-    RoundRobin,
-}
-
-/// Builds the arbiter behavior for `bus` over the masters' request/ack
-/// pairs and adds it to `spec` as a server leaf. Returns the new
-/// behavior's id. For [`ArbiterPolicy::Priority`], index 0 is the highest
-/// priority.
+/// Builds the fixed-priority arbiter of the paper's Figure 7 for `bus`
+/// over the masters' request/ack pairs (index 0 is the highest priority)
+/// and adds it to `spec` as a server leaf named `Arbiter_{bus}` unless
+/// taken. Returns the new behavior's id.
 ///
 /// # Panics
 ///
@@ -36,23 +20,6 @@ pub enum ArbiterPolicy {
 /// needs no arbiter (callers check [`Bus::needs_arbiter`]).
 ///
 /// [`Bus::needs_arbiter`]: crate::arch::Bus::needs_arbiter
-pub fn make_arbiter_with_policy(
-    spec: &mut Spec,
-    bus: &str,
-    reqacks: &[ReqAck],
-    policy: ArbiterPolicy,
-) -> BehaviorId {
-    match policy {
-        ArbiterPolicy::Priority => make_arbiter(spec, bus, reqacks),
-        ArbiterPolicy::RoundRobin => make_round_robin_arbiter(spec, bus, reqacks),
-    }
-}
-
-/// Builds the fixed-priority arbiter of the paper's Figure 7.
-///
-/// # Panics
-///
-/// Panics if `reqacks` has fewer than two masters.
 pub fn make_arbiter(spec: &mut Spec, bus: &str, reqacks: &[ReqAck]) -> BehaviorId {
     assert!(reqacks.len() >= 2, "arbiter requires at least two masters");
 
@@ -88,78 +55,11 @@ pub fn make_arbiter(spec: &mut Spec, bus: &str, reqacks: &[ReqAck]) -> BehaviorI
     ))
 }
 
-/// Builds a rotating-priority arbiter: after each grant, the served
-/// master moves to the back of the priority order. State is held in a
-/// generated `<bus>_last` register.
-///
-/// # Panics
-///
-/// Panics if `reqacks` has fewer than two masters.
-pub fn make_round_robin_arbiter(spec: &mut Spec, bus: &str, reqacks: &[ReqAck]) -> BehaviorId {
-    assert!(reqacks.len() >= 2, "arbiter requires at least two masters");
-    let n = reqacks.len();
-    let last_name = spec.fresh_variable_name(&format!("{bus}_last"));
-    let last = spec.add_variable(last_name, DataType::uint(8), (n - 1) as i64, None);
-
-    let any_request = reqacks
-        .iter()
-        .map(|ra| expr::eq(expr::signal(ra.req), expr::lit(1)))
-        .reduce(expr::or)
-        .expect("at least two masters");
-
-    let grant = |idx: usize, ra: &ReqAck| -> Vec<Stmt> {
-        vec![
-            stmt::assign(last, expr::lit(idx as i64)),
-            stmt::set_signal(ra.ack, expr::lit(1)),
-            stmt::wait_until(expr::eq(expr::signal(ra.req), expr::lit(0))),
-            stmt::set_signal(ra.ack, expr::lit(0)),
-        ]
-    };
-
-    // For each possible value of `last`, scan masters in rotated order
-    // (last+1, last+2, ..., last) and grant the first requester.
-    let mut rotation_chain: Vec<Stmt> = Vec::new();
-    for r in (0..n).rev() {
-        // Rotated order when last == r.
-        let order: Vec<usize> = (1..=n).map(|k| (r + k) % n).collect();
-        let (last_idx, front) = order.split_last().expect("non-empty order");
-        let mut inner: Vec<Stmt> = grant(*last_idx, &reqacks[*last_idx]);
-        for &i in front.iter().rev() {
-            inner = vec![stmt::if_else(
-                expr::eq(expr::signal(reqacks[i].req), expr::lit(1)),
-                grant(i, &reqacks[i]),
-                inner,
-            )];
-        }
-        rotation_chain = if r == n - 1 {
-            inner
-        } else {
-            vec![stmt::if_else(
-                expr::eq(expr::var(last), expr::lit(r as i64)),
-                inner,
-                rotation_chain,
-            )]
-        };
-    }
-
-    let mut body = vec![stmt::wait_until(any_request)];
-    body.extend(rotation_chain);
-    let name = spec.fresh_behavior_name(&format!("Arbiter_{bus}"));
-    spec.add_behavior(Behavior::new_server(
-        name,
-        BehaviorKind::Leaf {
-            body: vec![stmt::infinite_loop(body)],
-        },
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use modref_sim::Simulator;
     use modref_spec::builder::SpecBuilder;
-    use modref_spec::stmt::CallArg;
-    use modref_spec::LValue;
 
     /// Three masters contend; the arbiter serializes all transactions and
     /// priority 0 wins ties. We verify mutual exclusion by having each
@@ -239,79 +139,5 @@ mod tests {
         ];
         let arb = make_arbiter(&mut spec, "b1", &ras);
         assert_eq!(spec.behavior(arb).name(), "Arbiter_b1_1");
-    }
-
-    // Silence unused-import warnings for items used only in some tests.
-    #[allow(dead_code)]
-    fn _uses(_: CallArg, _: LValue) {}
-}
-
-#[cfg(test)]
-mod round_robin_tests {
-    use super::*;
-    use modref_sim::Simulator;
-    use modref_spec::builder::SpecBuilder;
-
-    /// Round-robin fairness: with both masters re-requesting in a loop,
-    /// grants must alternate — master 1 is never starved.
-    #[test]
-    fn round_robin_alternates_grants() {
-        let mut b = SpecBuilder::new("rr");
-        let grants0 = b.var_int("grants0", 16, 0);
-        let grants1 = b.var_int("grants1", 16, 0);
-        let m0 = b.leaf("M0", vec![]);
-        let m1 = b.leaf("M1", vec![]);
-        let top = b.concurrent("Main", vec![m0, m1]);
-        let mut spec = b.finish_unchecked(top);
-
-        let ras = vec![
-            ReqAck::create(&mut spec, "b1", 0),
-            ReqAck::create(&mut spec, "b1", 1),
-        ];
-        let arb = make_round_robin_arbiter(&mut spec, "b1", &ras);
-
-        for (mid, ra, counter) in [(m0, ras[0], grants0), (m1, ras[1], grants1)] {
-            let body = vec![stmt::while_loop_hinted(
-                expr::lt(expr::var(counter), expr::lit(4)),
-                vec![
-                    stmt::set_signal(ra.req, expr::lit(1)),
-                    stmt::wait_until(expr::eq(expr::signal(ra.ack), expr::lit(1))),
-                    stmt::assign(counter, expr::add(expr::var(counter), expr::lit(1))),
-                    stmt::set_signal(ra.req, expr::lit(0)),
-                    stmt::wait_until(expr::eq(expr::signal(ra.ack), expr::lit(0))),
-                ],
-                4,
-            )];
-            *spec.behavior_mut(mid).body_mut().unwrap() = body;
-        }
-
-        let system = spec.add_behavior(Behavior::new(
-            "System",
-            BehaviorKind::Concurrent {
-                children: vec![spec.behavior_by_name("Main").unwrap(), arb],
-            },
-        ));
-        spec.set_top(system);
-        modref_spec::validate::check(&spec).unwrap();
-        let r = Simulator::new(&spec).run().expect("completes");
-        assert_eq!(r.var_by_name("grants0"), Some(4));
-        assert_eq!(r.var_by_name("grants1"), Some(4));
-    }
-
-    #[test]
-    fn policy_selector_dispatches() {
-        let mut b = SpecBuilder::new("sel");
-        let leaf = b.leaf("L", vec![]);
-        let top = b.seq_in_order("Top", vec![leaf]);
-        let mut spec = b.finish_unchecked(top);
-        let ras = vec![
-            ReqAck::create(&mut spec, "bX", 0),
-            ReqAck::create(&mut spec, "bX", 1),
-        ];
-        let a = make_arbiter_with_policy(&mut spec, "bX", &ras, ArbiterPolicy::Priority);
-        let b2 = make_arbiter_with_policy(&mut spec, "bX", &ras, ArbiterPolicy::RoundRobin);
-        // Round-robin arbiter carries a state register; priority does not.
-        assert!(spec.variable_by_name("bX_last").is_some());
-        assert_ne!(spec.behavior(a).name(), spec.behavior(b2).name());
     }
 }

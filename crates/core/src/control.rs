@@ -15,9 +15,11 @@
 //!   composite's children cannot be enclosed in a leaf's loop.
 
 use modref_spec::{
-    expr, stmt, Behavior, BehaviorId, BehaviorKind, SignalId, Spec, Stmt, Transition,
+    expr, stmt, Behavior, BehaviorId, BehaviorKind, DataType, SignalId, Spec, Stmt, Transition,
     TransitionTarget,
 };
+
+use crate::protocol::add_fresh_signal;
 
 /// The start/done signal pair guarding a moved behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,11 +33,9 @@ pub struct ControlSignals {
 impl ControlSignals {
     /// Declares `B_start`/`B_done` for the behavior named `base`.
     pub fn create(spec: &mut Spec, base: &str) -> Self {
-        let start_name = spec.fresh_signal_name(&format!("{base}_start"));
-        let done_name = spec.fresh_signal_name(&format!("{base}_done"));
         Self {
-            start: spec.add_signal(start_name, modref_spec::DataType::Bit, 0),
-            done: spec.add_signal(done_name, modref_spec::DataType::Bit, 0),
+            start: add_fresh_signal(spec, &format!("{base}_start"), DataType::Bit),
+            done: add_fresh_signal(spec, &format!("{base}_done"), DataType::Bit),
         }
     }
 }

@@ -51,13 +51,6 @@ pub struct DataRefiner<'a> {
     elem_tmps: u32,
     /// Counter for loop-bound temporaries.
     bound_tmps: u32,
-    /// When set, scalar fetches are reused across *consecutive
-    /// assignments* (redundant-fetch elimination): the temporary tracks
-    /// the memory value through the block, invalidated at any statement
-    /// that branches, loops, waits or calls.
-    coalesce: bool,
-    /// The live fetch cache for the current straight-line run.
-    block_cache: HashMap<VarId, VarId>,
 }
 
 impl<'a> DataRefiner<'a> {
@@ -67,17 +60,6 @@ impl<'a> DataRefiner<'a> {
         prefix: impl Into<String>,
         table: HashMap<VarId, VarAccess>,
     ) -> Self {
-        Self::with_coalescing(spec, prefix, table, false)
-    }
-
-    /// Like [`DataRefiner::new`], optionally enabling redundant-fetch
-    /// elimination across consecutive assignments.
-    pub fn with_coalescing(
-        spec: &'a mut Spec,
-        prefix: impl Into<String>,
-        table: HashMap<VarId, VarAccess>,
-        coalesce: bool,
-    ) -> Self {
         Self {
             spec,
             table,
@@ -85,8 +67,6 @@ impl<'a> DataRefiner<'a> {
             tmp_of: HashMap::new(),
             elem_tmps: 0,
             bound_tmps: 0,
-            coalesce,
-            block_cache: HashMap::new(),
         }
     }
 
@@ -189,17 +169,9 @@ impl<'a> DataRefiner<'a> {
     }
 
     fn refine_stmt(&mut self, s: Stmt, out: &mut Vec<Stmt>) {
-        // Only straight runs of assignments keep the fetch cache alive.
-        if !matches!(s, Stmt::Assign { .. }) {
-            self.block_cache.clear();
-        }
         match s {
             Stmt::Assign { target, value } => {
-                let mut cache = if self.coalesce {
-                    std::mem::take(&mut self.block_cache)
-                } else {
-                    HashMap::new()
-                };
+                let mut cache = HashMap::new();
                 let mut pre = Vec::new();
                 let value = self.rewrite_expr(value, &mut pre, &mut cache);
                 match target {
@@ -213,8 +185,6 @@ impl<'a> DataRefiner<'a> {
                                 expr::lit(access.base as i64),
                                 expr::var(tmp),
                             ));
-                            // The temporary now mirrors the stored value.
-                            cache.insert(v, tmp);
                         } else {
                             out.extend(pre);
                             out.push(stmt::assign(v, value));
@@ -228,9 +198,6 @@ impl<'a> DataRefiner<'a> {
                             out.push(stmt::assign(tmp, value));
                             let addr = expr::add(expr::lit(access.base as i64), idx);
                             out.push(send_call(access, addr, expr::var(tmp)));
-                            // Element writes do not map to a scalar cache
-                            // entry; drop any stale scalar alias.
-                            cache.remove(&v);
                         } else {
                             out.extend(pre);
                             out.push(Stmt::Assign {
@@ -246,9 +213,6 @@ impl<'a> DataRefiner<'a> {
                             value,
                         });
                     }
-                }
-                if self.coalesce {
-                    self.block_cache = cache;
                 }
             }
             Stmt::SignalSet { signal, value } => {

@@ -79,7 +79,6 @@ pub mod serve;
 pub mod trace_check;
 
 pub use api::{Codesign, ModrefError};
-pub use arbiter::ArbiterPolicy;
 pub use arch::{ArbiterDesc, Architecture, Bus, BusKind, InterfaceDesc, MemoryModule};
 pub use error::RefineError;
 pub use explore::{DesignPoint, Exploration, Verification, VerifyRecord};
@@ -87,6 +86,6 @@ pub use lint::static_reject;
 pub use model::ImplModel;
 pub use plan::RefinePlan;
 pub use rates::{figure9_rates, figure9_row};
-pub use refine::{refine, refine_with_options, RefineOptions, Refined};
+pub use refine::{refine, Refined};
 pub use report::CostSummary;
 pub use trace_check::{check_stuttering_refinement, TraceMismatch};

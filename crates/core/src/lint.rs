@@ -9,11 +9,8 @@
 //! refined candidate first and rejects statically broken ones before
 //! spending simulation time.
 
-use std::collections::HashMap;
-
 use modref_analyze::{
-    conformance_lints, deadlock_lints, BusView, Diagnostic, HandshakePair, MemoryView, RefinedView,
-    Severity,
+    conformance_lints, deadlock_lints, BusView, Diagnostic, MemoryView, RefinedView, Severity,
 };
 use modref_graph::{AccessGraph, ChannelKind};
 use modref_spec::Spec;
@@ -37,15 +34,14 @@ pub(crate) fn lint_refined_impl(
 
     // Widest access each bus must carry: max bits-per-access over the
     // original data channels routed across it.
-    let mut required: HashMap<&str, u32> = HashMap::new();
+    let mut required = vec![0u32; arch.buses.len()];
     for (cid, buses) in &refined.channel_buses {
         if let ChannelKind::Data {
             bits_per_access, ..
         } = graph.channel(*cid).kind()
         {
-            for bus in buses {
-                let widest = required.entry(bus).or_default();
-                *widest = (*widest).max(*bits_per_access);
+            for &bus in buses {
+                required[bus] = required[bus].max(*bits_per_access);
             }
         }
     }
@@ -53,14 +49,15 @@ pub(crate) fn lint_refined_impl(
     let buses = arch
         .buses
         .iter()
-        .map(|b| BusView {
+        .zip(required)
+        .map(|(b, required_data_bits)| BusView {
             name: b.name.clone(),
             data_bits: b.data_bits,
             addr_bits: b.addr_bits,
             masters: b.masters.clone(),
             slaves: b.slaves.clone(),
             has_arbiter: arch.arbiters.iter().any(|a| a.bus == b.name),
-            required_data_bits: required.get(b.name.as_str()).copied().unwrap_or(0),
+            required_data_bits,
         })
         .collect();
 
@@ -82,40 +79,14 @@ pub(crate) fn lint_refined_impl(
     };
     let mut diags = conformance_lints(&view);
 
-    // Deadlock/liveness lints over the refined behaviors themselves,
-    // seeded with the arbiters' exact request/ack wiring so a broken
-    // four-phase handshake is caught without relying on inference. A
+    // Deadlock/liveness lints over the refined behaviors themselves.
+    // `DL05` reads each arbiter's request/ack pairs from its body: the
+    // arbiter waits on every request and drives every acknowledge. A
     // refined candidate has no source map — diagnostics carry object
     // names instead of positions.
-    diags.extend(deadlock_lints(
-        &refined.spec,
-        None,
-        &arbiter_handshakes(refined),
-    ));
+    diags.extend(deadlock_lints(&refined.spec, None));
     modref_analyze::sort_canonical(&mut diags);
     diags
-}
-
-/// The request/ack pairs of every arbiter the refiner inserted, resolved
-/// against the refined spec's signal/behavior tables. Wire names follow
-/// the refiner's `{bus}_req_{slot}` convention; anything that fails to
-/// resolve (foreign architecture edits) is skipped rather than guessed.
-fn arbiter_handshakes(refined: &Refined) -> Vec<HandshakePair> {
-    let spec = &refined.spec;
-    let mut pairs = Vec::new();
-    for desc in &refined.architecture.arbiters {
-        let Some(server) = spec.behavior_by_name(&desc.name) else {
-            continue;
-        };
-        for slot in 0..desc.masters.len() {
-            let req = spec.signal_by_name(&format!("{}_req_{slot}", desc.bus));
-            let ack = spec.signal_by_name(&format!("{}_ack_{slot}", desc.bus));
-            if let (Some(req), Some(ack)) = (req, ack) {
-                pairs.push(HandshakePair { req, ack, server });
-            }
-        }
-    }
-    pairs
 }
 
 /// When any error-severity diagnostic is present, a short rejection

@@ -487,27 +487,22 @@ impl RefinePlan {
         self.assignment.memory_of(var).map(|i| &self.memories[i])
     }
 
-    /// The names of the buses an access travels when a behavior on
-    /// `accessor` touches `var` — [`BusAssignment::chain`] by name.
-    pub fn access_buses(&self, accessor: ComponentId, var: VarId) -> Vec<String> {
-        let a = &self.assignment;
-        a.chain(accessor, var)
-            .as_slice()
-            .iter()
-            .map(|&b| a.name(b).to_string())
-            .collect()
+    /// The buses an access travels when a behavior on `accessor` touches
+    /// `var`, as indices into [`RefinePlan::buses`] in travel order.
+    pub fn access_buses(&self, accessor: ComponentId, var: VarId) -> Vec<usize> {
+        self.assignment.chain(accessor, var).as_slice().to_vec()
     }
 
     /// Maps every data channel of the access graph to the buses carrying
-    /// it — the Figure 9 accounting. Channels to variables that end up as
-    /// registers (none today; kept for forward compatibility) map to no
-    /// bus.
+    /// it, as indices into [`RefinePlan::buses`] — the Figure 9
+    /// accounting. Channels to variables that end up as registers (none
+    /// today; kept for forward compatibility) map to no bus.
     pub fn channel_buses(
         &self,
         spec: &Spec,
         graph: &AccessGraph,
         partition: &Partition,
-    ) -> HashMap<ChannelId, Vec<String>> {
+    ) -> HashMap<ChannelId, Vec<usize>> {
         let mut out = HashMap::new();
         for ch in graph.data_channels() {
             let (Some(b), Some(v)) = (ch.behavior(), ch.var()) else {
@@ -572,7 +567,7 @@ mod tests {
         assert_eq!(plan.memories.len(), 2); // Gmem_p0 {x,g}, Gmem_p1 {y}
         let (proc, _) = proc_asic(&alloc);
         let x = spec.variable_by_name("x").unwrap();
-        assert_eq!(plan.access_buses(proc, x), vec!["b1".to_string()]);
+        assert_eq!(plan.access_buses(proc, x), vec![0]);
     }
 
     #[test]
@@ -594,9 +589,9 @@ mod tests {
         let (proc, asic) = proc_asic(&alloc);
         let g = spec.variable_by_name("g").unwrap();
         let y = spec.variable_by_name("y").unwrap();
-        assert_eq!(plan.access_buses(proc, g), vec!["b2".to_string()]);
-        assert_eq!(plan.access_buses(asic, g), vec!["b2".to_string()]);
-        assert_eq!(plan.access_buses(asic, y), vec!["b3".to_string()]);
+        assert_eq!(plan.access_buses(proc, g), vec![1]);
+        assert_eq!(plan.access_buses(asic, g), vec![1]);
+        assert_eq!(plan.access_buses(asic, y), vec![2]);
     }
 
     #[test]
@@ -628,7 +623,7 @@ mod tests {
         let chain = plan.access_buses(asic, g);
         assert_eq!(chain.len(), 3);
         let a = plan.assignment();
-        assert_eq!(chain[1], a.name(a.inter_bus().unwrap()));
+        assert_eq!(Some(chain[1]), a.inter_bus());
         // All memories are local under Model4.
         assert!(plan.memories.iter().all(|m| !m.global));
     }

@@ -30,18 +30,26 @@ pub struct BusWires {
 }
 
 impl BusWires {
-    /// Declares the wires for bus `bus` in `spec`.
+    /// Declares the wires for bus `bus` in `spec`, named `{bus}_start`
+    /// and so on unless `spec` already uses a name.
     pub fn create(spec: &mut Spec, bus: &str, addr_bits: u32, data_bits: u32) -> Self {
         let bit = DataType::Bit;
+        let mut wire = |suffix: &str, ty| add_fresh_signal(spec, &format!("{bus}_{suffix}"), ty);
         Self {
-            start: spec.add_signal(format!("{bus}_start"), bit, 0),
-            done: spec.add_signal(format!("{bus}_done"), bit, 0),
-            rd: spec.add_signal(format!("{bus}_rd"), bit, 0),
-            wr: spec.add_signal(format!("{bus}_wr"), bit, 0),
-            addr: spec.add_signal(format!("{bus}_addr"), DataType::uint(addr_bits as u16), 0),
-            data: spec.add_signal(format!("{bus}_data"), DataType::int(data_bits as u16), 0),
+            start: wire("start", bit),
+            done: wire("done", bit),
+            rd: wire("rd", bit),
+            wr: wire("wr", bit),
+            addr: wire("addr", DataType::uint(addr_bits as u16)),
+            data: wire("data", DataType::int(data_bits as u16)),
         }
     }
+}
+
+/// Declares a zero-initialised signal under a fresh name based on `base`.
+pub(crate) fn add_fresh_signal(spec: &mut Spec, base: &str, ty: DataType) -> SignalId {
+    let name = spec.fresh_signal_name(base);
+    spec.add_signal(name, ty, 0)
 }
 
 /// A master's private request/acknowledge pair on an arbitrated bus.
@@ -54,11 +62,12 @@ pub struct ReqAck {
 }
 
 impl ReqAck {
-    /// Declares a request/ack pair for master slot `slot` of bus `bus`.
+    /// Declares a request/ack pair for master slot `slot` of bus `bus`,
+    /// named `{bus}_req_{slot}`/`{bus}_ack_{slot}` unless taken.
     pub fn create(spec: &mut Spec, bus: &str, slot: usize) -> Self {
         Self {
-            req: spec.add_signal(format!("{bus}_req_{slot}"), DataType::Bit, 0),
-            ack: spec.add_signal(format!("{bus}_ack_{slot}"), DataType::Bit, 0),
+            req: add_fresh_signal(spec, &format!("{bus}_req_{slot}"), DataType::Bit),
+            ack: add_fresh_signal(spec, &format!("{bus}_ack_{slot}"), DataType::Bit),
         }
     }
 }
@@ -111,7 +120,7 @@ pub fn make_mst_receive(
         body.extend(release_stmts(ra));
     }
     spec.add_subroutine(Subroutine::new(
-        format!("MST_receive_{bus}{suffix}"),
+        spec.fresh_subroutine_name(&format!("MST_receive_{bus}{suffix}")),
         vec![
             param_in("addr", DataType::uint(addr_bits as u16)),
             param_out("data", DataType::int(data_bits as u16)),
@@ -149,7 +158,7 @@ pub fn make_mst_send(
         body.extend(release_stmts(ra));
     }
     spec.add_subroutine(Subroutine::new(
-        format!("MST_send_{bus}{suffix}"),
+        spec.fresh_subroutine_name(&format!("MST_send_{bus}{suffix}")),
         vec![
             param_in("addr", DataType::uint(addr_bits as u16)),
             param_in("data", DataType::int(data_bits as u16)),
@@ -164,7 +173,7 @@ pub fn make_mst_send(
 /// loop, which brackets the whole request.)
 pub fn make_slv_send(spec: &mut Spec, bus: &str, wires: BusWires, data_bits: u32) -> SubroutineId {
     spec.add_subroutine(Subroutine::new(
-        format!("SLV_send_{bus}"),
+        spec.fresh_subroutine_name(&format!("SLV_send_{bus}")),
         vec![param_in("value", DataType::int(data_bits as u16))],
         vec![stmt::set_signal(wires.data, expr::param("value"))],
     ))
@@ -180,7 +189,7 @@ pub fn make_slv_receive(
     data_bits: u32,
 ) -> SubroutineId {
     spec.add_subroutine(Subroutine::new(
-        format!("SLV_receive_{bus}"),
+        spec.fresh_subroutine_name(&format!("SLV_receive_{bus}")),
         vec![param_out("value", DataType::int(data_bits as u16))],
         vec![Stmt::Assign {
             target: LValue::Param("value".into()),

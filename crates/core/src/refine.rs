@@ -39,7 +39,7 @@ use modref_spec::{
     SubroutineId, Transition, TransitionTarget, VarId, WaitCond,
 };
 
-use crate::arbiter::{make_arbiter_with_policy, ArbiterPolicy};
+use crate::arbiter::make_arbiter;
 use crate::arch::{ArbiterDesc, Architecture, Bus, InterfaceDesc};
 use crate::control::{make_bctrl, make_bnew_composite, make_bnew_leaf, ControlSignals};
 use crate::data::{fetch_call, DataRefiner, VarAccess};
@@ -52,19 +52,6 @@ use crate::protocol::{
     make_mst_receive, make_mst_send, make_slv_receive, make_slv_send, BusWires, ReqAck,
 };
 
-/// Options controlling refinement details beyond the implementation
-/// model: the knobs of architecture-related refinement.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RefineOptions {
-    /// Grant policy for generated bus arbiters.
-    pub arbiter_policy: ArbiterPolicy,
-    /// Redundant-fetch elimination: reuse a fetched value across
-    /// consecutive assignments instead of re-reading memory per
-    /// statement (an optimization ablation; the paper's scheme fetches
-    /// per access).
-    pub coalesce_reads: bool,
-}
-
 /// The output of refinement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Refined {
@@ -74,8 +61,9 @@ pub struct Refined {
     pub architecture: Architecture,
     /// The analysis plan the refinement followed.
     pub plan: RefinePlan,
-    /// For every original data channel, the buses that now carry it.
-    pub channel_buses: HashMap<ChannelId, Vec<String>>,
+    /// For every original data channel, the buses that now carry it, as
+    /// indices into `architecture.buses`.
+    pub channel_buses: HashMap<ChannelId, Vec<usize>>,
 }
 
 /// Refines `spec` into the implementation model `model` under the given
@@ -93,36 +81,12 @@ pub fn refine(
     partition: &Partition,
     model: ImplModel,
 ) -> Result<Refined, RefineError> {
-    refine_with_options(
-        spec,
-        graph,
-        allocation,
-        partition,
-        model,
-        &RefineOptions::default(),
-    )
-}
-
-/// Like [`refine`], with explicit [`RefineOptions`].
-///
-/// # Errors
-///
-/// Same conditions as [`refine`].
-pub fn refine_with_options(
-    spec: &Spec,
-    graph: &AccessGraph,
-    allocation: &Allocation,
-    partition: &Partition,
-    model: ImplModel,
-    options: &RefineOptions,
-) -> Result<Refined, RefineError> {
     let _span = modref_obs::span("refine").attr("model", model.name());
     let plan = {
         let _s = modref_obs::span("refine.plan");
         RefinePlan::build(spec, graph, allocation, partition, model)?
     };
-    let builder = Builder::new(spec, graph, partition, plan, *options);
-    builder.build()
+    Builder::new(spec, graph, partition, plan).build()
 }
 
 /// Identifies one bus-master context in the refined design.
@@ -149,7 +113,6 @@ struct MasterCtx {
 
 struct Builder<'a> {
     orig: &'a Spec,
-    options: RefineOptions,
     graph: &'a AccessGraph,
     part: &'a Partition,
     plan: RefinePlan,
@@ -164,22 +127,17 @@ struct Builder<'a> {
     mem_port0: Vec<BehaviorId>,
     /// Per bus index, created with the bus's first memory port.
     slv_subs: Vec<Option<SlvSubs>>,
+    /// `(bus index, arbiter)` for every shared bus, in bus order.
+    arbiters: Vec<(usize, BehaviorId)>,
     servers: Vec<BehaviorId>,
     arch: Architecture,
     guard_tmp: HashMap<(BehaviorId, VarId), VarId>,
 }
 
 impl<'a> Builder<'a> {
-    fn new(
-        orig: &'a Spec,
-        graph: &'a AccessGraph,
-        part: &'a Partition,
-        plan: RefinePlan,
-        options: RefineOptions,
-    ) -> Self {
+    fn new(orig: &'a Spec, graph: &'a AccessGraph, part: &'a Partition, plan: RefinePlan) -> Self {
         Self {
             orig,
-            options,
             graph,
             part,
             plan,
@@ -192,6 +150,7 @@ impl<'a> Builder<'a> {
             ctx_subs: HashMap::new(),
             mem_port0: Vec::new(),
             slv_subs: Vec::new(),
+            arbiters: Vec::new(),
             servers: Vec::new(),
             arch: Architecture::default(),
             guard_tmp: HashMap::new(),
@@ -446,18 +405,9 @@ impl<'a> Builder<'a> {
                 reqacks.extend(ra);
             }
             if shared {
-                let arb = make_arbiter_with_policy(
-                    &mut self.out,
-                    name,
-                    &reqacks,
-                    self.options.arbiter_policy,
-                );
+                let arb = make_arbiter(&mut self.out, name, &reqacks);
                 self.servers.push(arb);
-                self.arch.arbiters.push(ArbiterDesc {
-                    name: self.out.behavior(arb).name().to_string(),
-                    bus: name.to_string(),
-                    masters: masters.iter().map(|m| m.name.clone()).collect(),
-                });
+                self.arbiters.push((bus, arb));
             }
         }
     }
@@ -494,7 +444,7 @@ impl<'a> Builder<'a> {
         match b.kind() {
             BehaviorKind::Leaf { .. } => {
                 let refined = self.refine_leaf_body(id)?;
-                Ok(self.out.add_behavior(Behavior::new(
+                Ok(self.add_copy(Behavior::new(
                     b.name().to_string(),
                     BehaviorKind::Leaf { body: refined },
                 )))
@@ -525,7 +475,7 @@ impl<'a> Builder<'a> {
                         },
                     });
                 }
-                let new_id = self.out.add_behavior(Behavior::new(
+                let new_id = self.add_copy(Behavior::new(
                     b.name().to_string(),
                     BehaviorKind::Seq {
                         children: new_children,
@@ -541,7 +491,7 @@ impl<'a> Builder<'a> {
                 for &c in children {
                     new_children.push(self.copy_child(comp, c)?);
                 }
-                Ok(self.out.add_behavior(Behavior::new(
+                Ok(self.add_copy(Behavior::new(
                     b.name().to_string(),
                     BehaviorKind::Concurrent {
                         children: new_children,
@@ -549,6 +499,18 @@ impl<'a> Builder<'a> {
                 )))
             }
         }
+    }
+
+    /// Adds the copy of an original behavior under its own name. A
+    /// behavior generated earlier under that name (a memory, arbiter or
+    /// control-refinement behavior) takes a fresh name instead, so
+    /// original names survive and generated ones stay unique.
+    fn add_copy(&mut self, behavior: Behavior) -> BehaviorId {
+        if let Some(clash) = self.out.behavior_by_name(behavior.name()) {
+            let name = self.out.fresh_behavior_name(behavior.name());
+            self.out.behavior_mut(clash).set_name(name);
+        }
+        self.out.add_behavior(behavior)
     }
 
     /// Copies child `c` of a composite on component `parent_comp`,
@@ -584,13 +546,7 @@ impl<'a> Builder<'a> {
         let remapped = self.remap_stmts(b.body().expect("leaf"));
         let vars = collect_body_vars(self.orig, leaf);
         let table = self.access_table(CtxKey::LeafBody(leaf), comp, vars);
-        let mut refiner = DataRefiner::with_coalescing(
-            &mut self.out,
-            b.name(),
-            table,
-            self.options.coalesce_reads,
-        );
-        Ok(refiner.refine_body(remapped))
+        Ok(DataRefiner::new(&mut self.out, b.name(), table).refine_body(remapped))
     }
 
     /// Rewrites an original transition guard of `composite`: memory
@@ -709,6 +665,11 @@ impl<'a> Builder<'a> {
     /// placeholder its variables are scoped to, and Model3's
     /// multi-port global memories get one more behavior per port.
     fn fill_memories(&mut self) {
+        // A placeholder may have been renamed by `add_copy`; the module
+        // carries its behavior's name.
+        for (mem, &port0) in self.plan.memories.iter_mut().zip(&self.mem_port0) {
+            mem.name = self.out.behavior(port0).name().to_string();
+        }
         let data_bits = self.plan.data_bits;
         for (idx, mem) in self.plan.memories.iter().enumerate() {
             let vars: Vec<MemoryVar> = mem
@@ -752,7 +713,7 @@ impl<'a> Builder<'a> {
     /// masters its local bus.
     fn create_interfaces(&mut self) {
         let a = self.plan.assignment();
-        for ctx in &self.contexts {
+        for ctx in &mut self.contexts {
             let (comp, serves, masters, decode) = match ctx.key {
                 CtxKey::IfcOut(comp) => (
                     comp,
@@ -787,8 +748,10 @@ impl<'a> Builder<'a> {
                 ForwardSubs { recv, send },
             );
             self.servers.push(id);
+            // The bus and arbiter master lists name the behavior.
+            ctx.name = self.out.behavior(id).name().to_string();
             self.arch.interfaces.push(InterfaceDesc {
-                name: self.out.behavior(id).name().to_string(),
+                name: ctx.name.clone(),
                 component_name: format!("p{}", comp.index()),
                 serves_bus: a.name(serves).to_string(),
                 masters_bus: a.name(masters).to_string(),
@@ -825,6 +788,14 @@ impl<'a> Builder<'a> {
                 addr_bits: self.plan.addr_bits,
                 masters,
                 slaves,
+            });
+        }
+        for &(bus, arb) in &self.arbiters {
+            let bus = &self.arch.buses[bus];
+            self.arch.arbiters.push(ArbiterDesc {
+                name: self.out.behavior(arb).name().to_string(),
+                bus: bus.name.clone(),
+                masters: bus.masters.clone(),
             });
         }
         self.arch.memories = self.plan.memories.clone();

@@ -77,11 +77,6 @@ impl Partition {
         self.vars.insert(var, component);
     }
 
-    /// The explicit assignment of a behavior, if any.
-    pub fn explicit_of_behavior(&self, behavior: BehaviorId) -> Option<ComponentId> {
-        self.behaviors.get(&behavior).copied()
-    }
-
     /// The component a behavior executes on: its explicit assignment,
     /// else the nearest ancestor's, else the partition default.
     pub fn component_of_behavior(&self, spec: &Spec, behavior: BehaviorId) -> Option<ComponentId> {

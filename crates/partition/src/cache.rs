@@ -406,12 +406,8 @@ impl CostCache {
         self.report.total
     }
 
-    /// Number of components in the allocation the cache was built over.
-    pub fn component_count(&self) -> usize {
-        self.gates_used.len()
-    }
-
-    /// The component ids of that allocation, in index order.
+    /// The component ids of the allocation the cache was built over, in
+    /// index order.
     pub fn component_ids(&self) -> Vec<ComponentId> {
         (0..self.gates_used.len() as u32)
             .map(ComponentId::from_raw)

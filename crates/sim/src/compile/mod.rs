@@ -261,16 +261,6 @@ pub struct CompiledSpec {
 }
 
 impl CompiledSpec {
-    /// Number of instructions in the program.
-    pub fn instr_count(&self) -> usize {
-        self.code.len()
-    }
-
-    /// Number of postfix operations in the expression pool.
-    pub fn pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
     /// Whether `behavior` has a standalone program (i.e. can be a
     /// process root: the top behavior or a concurrent-composite child).
     pub(crate) fn has_entry(&self, behavior: BehaviorId) -> bool {

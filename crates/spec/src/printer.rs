@@ -35,8 +35,6 @@
 //! top Top;
 //! ```
 
-use std::fmt::Write as _;
-
 use crate::behavior::{BehaviorKind, TransitionTarget};
 use crate::expr::{Expr, UnOp};
 use crate::spec::Spec;
@@ -369,15 +367,6 @@ impl<'a> Printer<'a> {
 /// used in reports and error messages.
 pub fn expr_to_string(spec: &Spec, e: &Expr) -> String {
     Printer::new(spec).expr(e)
-}
-
-/// Convenience: render a single statement (and its nested bodies).
-pub fn stmt_to_string(spec: &Spec, s: &Stmt) -> String {
-    let mut p = Printer::new(spec);
-    p.print_stmt(s);
-    let mut out = String::new();
-    let _ = write!(out, "{}", p.out.trim_end());
-    out
 }
 
 #[cfg(test)]

@@ -410,45 +410,40 @@ impl Spec {
     /// Generates a name not used by any behavior, of the form
     /// `base`, `base_1`, `base_2`, ...
     pub fn fresh_behavior_name(&self, base: &str) -> String {
-        if self.behavior_by_name(base).is_none() {
-            return base.to_string();
-        }
-        for i in 1.. {
-            let candidate = format!("{base}_{i}");
-            if self.behavior_by_name(&candidate).is_none() {
-                return candidate;
-            }
-        }
-        unreachable!()
+        fresh_name(base, |n| self.behavior_by_name(n).is_some())
     }
 
-    /// Generates a variable name not used by any variable.
+    /// Generates a variable name not used by any variable or signal:
+    /// expressions name both, so the printed text must tell them apart.
     pub fn fresh_variable_name(&self, base: &str) -> String {
-        if self.variable_by_name(base).is_none() {
-            return base.to_string();
-        }
-        for i in 1.. {
-            let candidate = format!("{base}_{i}");
-            if self.variable_by_name(&candidate).is_none() {
-                return candidate;
-            }
-        }
-        unreachable!()
+        fresh_name(base, |n| self.names_data(n))
     }
 
-    /// Generates a signal name not used by any signal.
+    /// Generates a signal name not used by any signal or variable.
     pub fn fresh_signal_name(&self, base: &str) -> String {
-        if self.signal_by_name(base).is_none() {
-            return base.to_string();
-        }
-        for i in 1.. {
-            let candidate = format!("{base}_{i}");
-            if self.signal_by_name(&candidate).is_none() {
-                return candidate;
-            }
-        }
-        unreachable!()
+        fresh_name(base, |n| self.names_data(n))
     }
+
+    /// Generates a subroutine name not used by any subroutine.
+    pub fn fresh_subroutine_name(&self, base: &str) -> String {
+        fresh_name(base, |n| self.subroutine_by_name(n).is_some())
+    }
+
+    /// Whether a variable or a signal is named `name`.
+    fn names_data(&self, name: &str) -> bool {
+        self.variable_by_name(name).is_some() || self.signal_by_name(name).is_some()
+    }
+}
+
+/// The first of `base`, `base_1`, `base_2`, ... that `taken` rejects.
+fn fresh_name(base: &str, taken: impl Fn(&str) -> bool) -> String {
+    if !taken(base) {
+        return base.to_string();
+    }
+    (1..)
+        .map(|i| format!("{base}_{i}"))
+        .find(|candidate| !taken(candidate))
+        .expect("some suffix is free")
 }
 
 #[cfg(test)]
@@ -515,6 +510,19 @@ mod tests {
         let (s, _, _, _) = two_level_spec();
         assert_eq!(s.fresh_behavior_name("C"), "C");
         assert_eq!(s.fresh_behavior_name("A"), "A_1");
+    }
+
+    #[test]
+    fn fresh_names_avoid_their_namespace() {
+        let (mut s, _, _, _) = two_level_spec();
+        s.add_signal("go", DataType::Bit, 0);
+        s.add_signal("go_1", DataType::Bit, 0);
+        s.add_subroutine(Subroutine::new("MST_send", vec![], vec![]));
+        assert_eq!(s.fresh_signal_name("go"), "go_2");
+        assert_eq!(s.fresh_subroutine_name("MST_send"), "MST_send_1");
+        assert_eq!(s.fresh_subroutine_name("go"), "go");
+        // Expressions name variables and signals alike.
+        assert_eq!(s.fresh_variable_name("go"), "go_2");
     }
 
     #[test]

@@ -65,13 +65,13 @@ fn render_workload(
             refine(spec, &graph, alloc, part, model).expect("published partition refines");
         let file = format!("{name}.{model:?}");
         out.push_str(&render_json_lines(
-            &deadlock_lints(&refined.spec, None, &[]),
+            &deadlock_lints(&refined.spec, None),
             &file,
         ));
         for (sig, signal) in refined.spec.signals() {
             let killed = kill_writes(&refined.spec, sig);
             out.push_str(&render_json_lines(
-                &deadlock_lints(&killed, None, &[]),
+                &deadlock_lints(&killed, None),
                 &format!("{file}.kill={}", signal.name()),
             ));
         }

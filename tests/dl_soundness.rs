@@ -36,7 +36,7 @@ const KERNELS: [SimKernel; 3] = [
 
 /// Sorted, deduplicated DL codes the analyzer reports for `spec`.
 fn dl_codes(spec: &Spec) -> Vec<&'static str> {
-    let mut codes: Vec<&'static str> = deadlock_lints(spec, None, &[])
+    let mut codes: Vec<&'static str> = deadlock_lints(spec, None)
         .iter()
         .map(|d| d.code)
         .filter(|c| c.starts_with("DL"))

@@ -16,7 +16,7 @@ use modref::core::api::Codesign;
 use modref::core::{refine, static_reject, ImplModel, Refined};
 use modref::graph::AccessGraph;
 use modref::partition::{Allocation, Partition};
-use modref::spec::Spec;
+use modref::spec::{Expr, Spec, Stmt};
 use modref::workloads::{
     dsp_partition, dsp_spec, fig2_partition, fig2_spec, medical_allocation, medical_partition,
     medical_spec, Design,
@@ -120,6 +120,52 @@ fn orphaning_a_bus_trips_rc03() {
     }
     let codes = reject_codes(&cd, &refined);
     assert!(codes.contains("RC03"), "{codes}");
+}
+
+#[test]
+fn dropping_a_masters_bus_releases_trips_dl05() {
+    // Figure 2 under Model1: four masters share `b1` under `Arbiter_b1`.
+    let spec = fig2_spec();
+    let graph = AccessGraph::derive(&spec);
+    let alloc = medical_allocation();
+    let part = fig2_partition(&spec, &alloc);
+    let mut refined = refine(&spec, &graph, &alloc, &part, ImplModel::Model1).expect("refines");
+    let arbiters = &refined.architecture.arbiters;
+    assert_eq!(arbiters.len(), 1);
+    assert_eq!(
+        (arbiters[0].name.as_str(), arbiters[0].masters.len()),
+        ("Arbiter_b1", 4)
+    );
+
+    // Master 0's protocol subroutines release the bus with
+    // `set b1_req_0 := 0`; drop those statements.
+    let req = refined
+        .spec
+        .signal_by_name("b1_req_0")
+        .expect("master 0 request");
+    let subs: Vec<_> = refined.spec.subroutines().map(|(id, _)| id).collect();
+    let mut dropped = 0;
+    for id in subs {
+        let body = refined.spec.subroutine_mut(id).body_mut();
+        let before = body.len();
+        body.retain(
+            |s| !matches!(s, Stmt::SignalSet { signal, value: Expr::Lit(0) } if *signal == req),
+        );
+        dropped += before - body.len();
+    }
+    assert_eq!(dropped, 2, "one release each in MST_receive and MST_send");
+
+    let cd = Codesign::from_spec(spec);
+    let dl05: Vec<_> = cd
+        .lint_refined(&refined)
+        .into_iter()
+        .filter(|d| d.code == "DL05")
+        .collect();
+    assert!(!dl05.is_empty(), "the dropped release must trip DL05");
+    for d in &dl05 {
+        assert!(d.message.contains("Arbiter_b1"), "{d:#?}");
+        assert!(d.message.contains("b1_req_0"), "{d:#?}");
+    }
 }
 
 #[test]

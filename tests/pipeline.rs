@@ -187,68 +187,3 @@ fn model4_is_the_only_model_with_interfaces() {
         assert_eq!(has_interfaces, model == ImplModel::Model4, "{model}");
     }
 }
-
-#[test]
-fn round_robin_arbiters_preserve_equivalence_too() {
-    use modref::core::{refine_with_options, ArbiterPolicy, RefineOptions};
-    let spec = medical_spec();
-    let graph = AccessGraph::derive(&spec);
-    let alloc = medical_allocation();
-    let part = medical_partition(&spec, &alloc, Design::Design1);
-    let original = Simulator::new(&spec).run().expect("original completes");
-    let options = RefineOptions {
-        arbiter_policy: ArbiterPolicy::RoundRobin,
-        ..RefineOptions::default()
-    };
-    for model in ImplModel::ALL {
-        let refined = refine_with_options(&spec, &graph, &alloc, &part, model, &options)
-            .unwrap_or_else(|e| panic!("{model}: {e}"));
-        let result = Simulator::new(&refined.spec)
-            .run()
-            .unwrap_or_else(|e| panic!("{model}: {e}"));
-        assert!(
-            original.diff_common_vars(&result).is_empty(),
-            "{model}: round-robin arbitration diverges"
-        );
-    }
-}
-
-#[test]
-fn coalesced_fetches_preserve_equivalence_and_reduce_traffic() {
-    use modref::core::{refine_with_options, RefineOptions};
-    let spec = medical_spec();
-    let graph = AccessGraph::derive(&spec);
-    let alloc = medical_allocation();
-    let part = medical_partition(&spec, &alloc, Design::Design1);
-    let original = Simulator::new(&spec).run().expect("original completes");
-
-    let plain = refine(&spec, &graph, &alloc, &part, ImplModel::Model1).expect("plain");
-    let coalesced = refine_with_options(
-        &spec,
-        &graph,
-        &alloc,
-        &part,
-        ImplModel::Model1,
-        &RefineOptions {
-            coalesce_reads: true,
-            ..RefineOptions::default()
-        },
-    )
-    .expect("coalesced");
-
-    let r_plain = Simulator::new(&plain.spec).run().expect("plain runs");
-    let r_coal = Simulator::new(&coalesced.spec)
-        .run()
-        .expect("coalesced runs");
-    assert!(original.diff_common_vars(&r_plain).is_empty());
-    assert!(original.diff_common_vars(&r_coal).is_empty());
-    // Fewer bus transactions => fewer signal writes and fewer steps.
-    assert!(
-        r_coal.signal_writes < r_plain.signal_writes,
-        "coalescing should drop redundant fetches: {} vs {}",
-        r_coal.signal_writes,
-        r_plain.signal_writes
-    );
-    // And a smaller refined text (fewer protocol calls printed).
-    assert!(printer::line_count(&coalesced.spec) <= printer::line_count(&plain.spec));
-}

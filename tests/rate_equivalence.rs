@@ -116,8 +116,8 @@ fn reference(
             continue;
         };
         let rate = channel_rate(spec, ch, &model_of, &config);
-        for bus in buses {
-            table.add(bus.clone(), rate);
+        for &bus in buses {
+            table.add(plan.buses()[bus].name.clone(), rate);
         }
     }
     table

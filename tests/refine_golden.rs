@@ -1,8 +1,7 @@
 //! Byte-exact golden of the refiner's output.
 //!
 //! Each row is one refinement: a workload under a partition, refined to
-//! one implementation model under one set of [`RefineOptions`]. The row
-//! records the refined behavior count and printed line count, plus
+//! one implementation model. The row records the refined behavior count and printed line count, plus
 //! FNV-1a-64 digests of four renderings:
 //!
 //! * `spec` — the refined specification as `printer::print` writes it;
@@ -14,9 +13,8 @@
 //! The cases are the medical Designs 1–3, Figure 2 and the DSP front-end
 //! under their published partitions, and `SynthSpec` designs under
 //! `SynthSpec::partition` (salts 0 and 1) on a two- and a
-//! three-component allocation. Each runs under Models 1–4 with the
-//! default options, the round-robin arbiter and `coalesce_reads`.
-//! 24-leaf designs run in every build; 64-leaf designs (the
+//! three-component allocation. Each runs under Models 1–4; the `default`
+//! label ends each case name. 24-leaf designs run in every build; 64-leaf designs (the
 //! `flow_synth64` shape) only in release builds:
 //!
 //! ```text
@@ -35,7 +33,7 @@ use std::path::Path;
 
 use modref::analyze::diag::render_json_lines;
 use modref::core::api::Codesign;
-use modref::core::{dot, refine_with_options, report, ArbiterPolicy, ImplModel, RefineOptions};
+use modref::core::{dot, refine, report, ImplModel};
 use modref::partition::{Allocation, Component, Partition};
 use modref::spec::printer;
 use modref::workloads::{
@@ -52,53 +50,33 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-fn option_sets() -> [(&'static str, RefineOptions); 3] {
-    [
-        ("default", RefineOptions::default()),
-        (
-            "round_robin",
-            RefineOptions {
-                arbiter_policy: ArbiterPolicy::RoundRobin,
-                ..RefineOptions::default()
-            },
-        ),
-        (
-            "coalesce",
-            RefineOptions {
-                coalesce_reads: true,
-                ..RefineOptions::default()
-            },
-        ),
-    ]
-}
-
-/// Appends one row per (model, options) for `cd` under `part`.
+/// Appends one row per model for `cd` under `part`.
 fn render_case(out: &mut String, name: &str, cd: &Codesign, alloc: &Allocation, part: &Partition) {
     for model in ImplModel::ALL {
-        for (label, options) in option_sets() {
-            let case = format!("{name}.{model:?}.{label}");
-            let refined = refine_with_options(cd.spec(), cd.graph(), alloc, part, model, &options)
-                .unwrap_or_else(|e| panic!("{case}: {e}"));
-            let text = printer::print(&refined.spec);
-            let mut channels: Vec<_> = refined.channel_buses.iter().collect();
-            channels.sort();
-            let mut lint = String::new();
-            for (ch, buses) in channels {
-                writeln!(lint, "{} {}", ch.index(), buses.join(",")).unwrap();
-            }
-            lint.push_str(&render_json_lines(&cd.lint_refined(&refined), &case));
-            writeln!(
-                out,
-                "{case} behaviors={} lines={} spec={:016x} describe={:016x} dot={:016x} lint={:016x}",
-                refined.spec.behavior_count(),
-                text.lines().count(),
-                fnv1a(&text),
-                fnv1a(&report::describe(&refined.architecture)),
-                fnv1a(&dot::to_dot(&refined.architecture)),
-                fnv1a(&lint),
-            )
-            .unwrap();
+        let case = format!("{name}.{model:?}.default");
+        let refined = refine(cd.spec(), cd.graph(), alloc, part, model)
+            .unwrap_or_else(|e| panic!("{case}: {e}"));
+        let text = printer::print(&refined.spec);
+        let buses = &refined.architecture.buses;
+        let mut channels: Vec<_> = refined.channel_buses.iter().collect();
+        channels.sort();
+        let mut lint = String::new();
+        for (ch, route) in channels {
+            let names: Vec<&str> = route.iter().map(|&b| buses[b].name.as_str()).collect();
+            writeln!(lint, "{} {}", ch.index(), names.join(",")).unwrap();
         }
+        lint.push_str(&render_json_lines(&cd.lint_refined(&refined), &case));
+        writeln!(
+            out,
+            "{case} behaviors={} lines={} spec={:016x} describe={:016x} dot={:016x} lint={:016x}",
+            refined.spec.behavior_count(),
+            text.lines().count(),
+            fnv1a(&text),
+            fnv1a(&report::describe(&refined.architecture)),
+            fnv1a(&dot::to_dot(&refined.architecture)),
+            fnv1a(&lint),
+        )
+        .unwrap();
     }
 }
 

@@ -112,14 +112,14 @@ fn three_way_model4_chains_hop_between_all_components() {
     // Transform (ASIC2) reads raw (homed ASIC1): a 3-hop chain exists,
     // and Consume (PROC) reads mid (ASIC2): another chain from a third
     // component.
-    let chains: Vec<&Vec<String>> = refined
+    let chains: Vec<&Vec<usize>> = refined
         .channel_buses
         .values()
         .filter(|b| b.len() == 3)
         .collect();
     assert!(chains.len() >= 2, "expected at least two remote chains");
     // All chains share the single inter-component bus in the middle.
-    let inter: std::collections::HashSet<&String> = chains.iter().map(|c| &c[1]).collect();
+    let inter: std::collections::HashSet<usize> = chains.iter().map(|c| c[1]).collect();
     assert_eq!(inter.len(), 1, "one inter-component bus");
     // Interfaces exist for every component that sends or serves.
     assert!(refined.architecture.interfaces.len() >= 4);
