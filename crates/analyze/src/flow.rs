@@ -4,7 +4,6 @@
 
 use std::collections::HashSet;
 
-use modref_graph::access::const_value;
 use modref_spec::visit;
 use modref_spec::{
     BehaviorId, BehaviorKind, SourceMap, Spec, StmtOwner, SubroutineId, TransitionTarget, VarId,
@@ -232,7 +231,7 @@ fn unreachable_behavior_lints(spec: &Spec, map: &SourceMap, out: &mut Vec<Diagno
             for t in arcs {
                 let fires = match &t.cond {
                     None => Some(true),
-                    Some(c) => const_value(c).map(|v| v != 0),
+                    Some(c) => c.const_value().map(|v| v != 0),
                 };
                 if fires != Some(false) {
                     if let TransitionTarget::Behavior(to) = t.to {
@@ -295,7 +294,7 @@ fn transition_lints(spec: &Spec, map: &SourceMap, out: &mut Vec<Diagnostic>) {
                 None => {
                     always_fired.insert(t.from);
                 }
-                Some(c) => match const_value(c) {
+                Some(c) => match c.const_value() {
                     Some(0) => {
                         out.push(
                             Diagnostic::new(

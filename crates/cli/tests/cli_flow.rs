@@ -364,3 +364,115 @@ fn verified_explore_verdicts_are_kernel_independent() {
 
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// A two-leaf spec around `a_body` whose top arcs from `A` to `B` take
+/// `guard`; with its PROC+ASIC partition, written to a fresh directory.
+/// The loop variable `i` is an `int<64>`, so simulating the spec also
+/// wraps values at the widest integer type.
+fn hostile_spec_dir(tag: &str, a_body: &str, guard: &str) -> PathBuf {
+    let dir = tmpdir(tag);
+    let spec = format!(
+        "spec hostile;\nvar x : int<16> = 0;\nvar i : int<64> = 0;\n\
+         behavior A leaf {{\n  {a_body}\n}}\nbehavior B leaf {{\n  x := x + 1;\n}}\n\
+         behavior Top seq {{\n  children {{ A; B; }}\n  transitions {{\n    \
+         A -> B when ({guard});\n    A -> complete;\n  }}\n}}\ntop Top;\n"
+    );
+    fs::write(dir.join("h.spec"), spec).expect("write spec");
+    fs::write(
+        dir.join("h.part"),
+        "component PROC processor 65536\ncomponent ASIC asic 10000 75\n\
+         default PROC\nbehavior B -> ASIC\n",
+    )
+    .expect("write part");
+    dir
+}
+
+#[test]
+fn hostile_constant_overflows_do_not_panic_any_command() {
+    // `MIN / -1` in a `for` bound and a guard panicked constant folding
+    // in every build; a `for` whose `to - from` overflows `i64` wrapped
+    // its trip count to a negative lifetime in a release build.
+    let min_div = "(0 - 9223372036854775807 - 1) / (0 - 1)";
+    let cases = [
+        (
+            "min_div",
+            format!("for i := 0 to {min_div} {{ x := 1; }}"),
+            format!("{min_div} > 0"),
+        ),
+        (
+            "wide_for",
+            "for i := 0 - 9223372036854775807 to 9223372036854775807 { x := 1; }".to_string(),
+            "x > 1".to_string(),
+        ),
+    ];
+    for (tag, body, guard) in cases {
+        let dir = hostile_spec_dir(tag, &body, &guard);
+        for args in [
+            &["check", "h.spec"][..],
+            &["lint", "h.spec"],
+            &["estimate", "h.spec", "-p", "h.part"],
+            &["rates", "h.spec", "-p", "h.part"],
+            &[
+                "explore", "h.spec", "-p", "h.part", "--seeds", "1", "--verify",
+            ],
+        ] {
+            let out = Command::new(modref_bin())
+                .args(args)
+                .current_dir(&dir)
+                .output()
+                .expect("binary runs");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                matches!(out.status.code(), Some(0 | 1)) && !stderr.contains("panicked"),
+                "{tag}: {args:?} exited {:?}: {stderr}",
+                out.status
+            );
+            if args[0] == "estimate" {
+                assert!(out.status.success(), "{tag}: estimate: {stderr}");
+                assert!(!stdout.contains(" -"), "{tag}: negative estimate: {stdout}");
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn hostile_nesting_is_a_parse_error_not_a_crash() {
+    let body = format!(
+        "{}x := 1;{}",
+        "if (x == 1) {\n".repeat(200_000),
+        "}\n".repeat(200_000)
+    );
+    let dir = hostile_spec_dir("deep_if", &body, "x > 1");
+    let out = Command::new(modref_bin())
+        .args(["check", "h.spec"])
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hostile_deep_trace_line_fails_report_naming_the_line() {
+    let dir = tmpdir("deep_trace");
+    let trace = dir.join("deep.jsonl");
+    let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    let meta = r#"{"k":"meta","version":1,"clock":"logical"}"#;
+    fs::write(&trace, format!("{meta}\n{deep}\n")).expect("write trace");
+    let out = Command::new(modref_bin())
+        .arg("report")
+        .arg(&trace)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("line 2") && stderr.contains("nesting"),
+        "{stderr}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -424,3 +424,135 @@ fn json_str(s: &str) -> String {
     out.push('"');
     out
 }
+
+/// Runs one single-worker session over `input`, written from a second
+/// thread so that a long input cannot deadlock against unread responses.
+fn exchange(input: String) -> Vec<Response> {
+    let mut child = spawn_serve(&["--workers", "1", "-q"]);
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    let writer = thread::spawn(move || stdin.write_all(input.as_bytes()).expect("input written"));
+    let responses = drain(child);
+    writer.join().expect("writer finishes");
+    responses
+}
+
+/// The response to request `id`.
+fn answer(responses: &[Response], id: u64) -> &Response {
+    responses
+        .iter()
+        .find(|r| r.id == id)
+        .unwrap_or_else(|| panic!("id {id} unanswered: {responses:?}"))
+}
+
+/// A spec whose leaf `A` has `a_body`, and a partition moving its
+/// sibling `B` and the variable `y` to an ASIC.
+fn two_leaf_spec(a_body: &str) -> String {
+    format!(
+        "spec hostile;\nvar x : int<16> = 0;\nvar y : int<16> = 1;\nvar i : int<16> = 0;\n\
+         behavior A leaf {{\n{a_body}\n}}\nbehavior B leaf {{\n  y := y + x;\n}}\n\
+         behavior Top seq {{ children {{ A; B; }} }}\ntop Top;\n"
+    )
+}
+
+const HOSTILE_PART: &str = "component PROC processor 65536\ncomponent ASIC asic 10000 75\n\
+                            default PROC\nbehavior B -> ASIC\nvar y -> ASIC\n";
+
+#[test]
+fn hostile_spec_at_the_nesting_bound_answers_every_op() {
+    use modref_spec::parser::MAX_NESTING;
+    // Each body nests exactly MAX_NESTING levels: the statement is
+    // level 1 and its deepest operand level MAX_NESTING.
+    let n = MAX_NESTING - 2;
+    let bodies = [
+        format!("x := {}y{};", "(".repeat(n), ")".repeat(n)),
+        format!("x := {};", vec!["y"; MAX_NESTING - 1].join(" + ")),
+        format!("x := {}y;", "- ".repeat(n)),
+        format!("{}x := y;{}", "if (y == 1) {\n".repeat(n), "}\n".repeat(n)),
+    ];
+    let part = json_str(HOSTILE_PART);
+    for body in bodies {
+        let spec = json_str(&two_leaf_spec(&body));
+        let ops = [
+            r#""op":"parse""#.to_string(),
+            format!(r#""op":"lint","part":{part}"#),
+            format!(r#""op":"estimate","part":{part}"#),
+            format!(r#""op":"refine","part":{part},"model":1"#),
+            format!(r#""op":"refine","part":{part},"model":4"#),
+            format!(r#""op":"explore","part":{part},"seeds":1"#),
+            format!(r#""op":"verify","part":{part},"seeds":1"#),
+        ];
+        let input: String = ops
+            .iter()
+            .enumerate()
+            .map(|(i, op)| format!("{{\"v\":2,\"id\":{},{op},\"spec\":{spec}}}\n", i + 1))
+            .collect();
+        let responses = exchange(input);
+        assert!(matches!(
+            answer(&responses, 1).body,
+            ResponseBody::Parsed(_)
+        ));
+        for id in 2..=ops.len() as u64 {
+            let resp = answer(&responses, id);
+            assert_eq!(error_code(resp), None, "{resp:?}");
+        }
+    }
+}
+
+#[test]
+fn hostile_over_deep_load_spec_is_a_parse_error_and_the_session_continues() {
+    let n = 200_000;
+    let spec = two_leaf_spec(&format!("x := {}1{};", "(".repeat(n), ")".repeat(n)));
+    let input = format!(
+        "{{\"v\":2,\"id\":1,\"op\":\"load_spec\",\"spec\":{}}}\n\
+         {{\"v\":2,\"id\":2,\"op\":\"parse\",\"workload\":\"fig2\"}}\n",
+        json_str(&spec)
+    );
+    let responses = exchange(input);
+    assert_eq!(error_code(answer(&responses, 1)), Some("parse"));
+    assert!(matches!(
+        answer(&responses, 2).body,
+        ResponseBody::Parsed(_)
+    ));
+}
+
+#[test]
+fn hostile_deep_json_line_is_invalid_and_the_session_continues() {
+    let n = 200_000;
+    let input = format!(
+        "{}{}\n{{\"id\":7,\"op\":\"parse\",\"workload\":\"fig2\"}}\n",
+        "[".repeat(n),
+        "]".repeat(n)
+    );
+    let responses = exchange(input);
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    let bad = responses
+        .iter()
+        .find(|r| r.id != 7)
+        .expect("deep line answered");
+    assert_eq!(error_code(bad), Some("invalid_request"));
+    assert!(matches!(
+        answer(&responses, 7).body,
+        ResponseBody::Parsed(_)
+    ));
+}
+
+#[test]
+fn hostile_constant_overflows_parse_ok() {
+    // `MIN / -1` in a `for` bound, and `for` bounds whose difference
+    // overflows `i64`: constant folding must answer, not panic.
+    let bodies = [
+        "for i := 0 to (0 - 9223372036854775807 - 1) / (0 - 1) { x := 1; }",
+        "for i := 0 - 9223372036854775807 to 9223372036854775807 { x := 1; }",
+    ];
+    for body in bodies {
+        let input = format!(
+            "{{\"id\":1,\"op\":\"parse\",\"spec\":{}}}\n",
+            json_str(&two_leaf_spec(body))
+        );
+        let responses = exchange(input);
+        assert!(
+            matches!(answer(&responses, 1).body, ResponseBody::Parsed(_)),
+            "{body}: {responses:?}"
+        );
+    }
+}

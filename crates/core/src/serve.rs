@@ -426,7 +426,12 @@ fn run_session<'w, T>(
     let rx = Mutex::new(rx);
     let fed = thread::scope(|s| {
         let workers: Vec<_> = (0..cfg.workers.max(1))
-            .map(|_| s.spawn(|| worker_loop(&rx, &core)))
+            .map(|_| {
+                thread::Builder::new()
+                    .stack_size(modref_spec::parser::THREAD_STACK)
+                    .spawn_scoped(s, || worker_loop(&rx, &core))
+                    .expect("spawn a serve worker")
+            })
             .collect();
         let fed = feed(&core, tx);
         for w in workers {

@@ -3,23 +3,23 @@
 //! The paper's channel transfer rate is "the rate at which data is sent
 //! during the lifetime of the behaviors communicating over the channel".
 //! We estimate a behavior's lifetime as the execution time of one
-//! activation under a [`TimingModel`], walking the statement body with the
-//! same loop/branch weighting as access counting, and — for composites —
-//! summing the lifetimes of children along the sequential schedule.
+//! activation under a [`TimingModel`], walking the statement body with
+//! access counting's own loop trips ([`loop_trips`]) and branch weight
+//! ([`BRANCH_WEIGHT`]), and — for composites — summing the lifetimes of
+//! children along the sequential schedule.
 
+use modref_graph::access::{loop_trips, BRANCH_WEIGHT};
 use modref_spec::stmt::{CallArg, LValue};
 use modref_spec::{BehaviorId, BehaviorKind, Expr, Spec, Stmt, WaitCond};
 
 use crate::latency::TimingModel;
 
-/// Structural weighting knobs (mirrors `modref_graph::CountConfig` so the
-/// numerator and denominator of a channel rate use consistent estimates).
+/// The synchronization stall charged for a `wait until`. Loop trips and
+/// branch weights are not configured here: they come from
+/// [`modref_graph::access`], so a channel rate's numerator (access
+/// counts) and denominator (lifetime) always weight a statement alike.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifetimeConfig {
-    /// Trip count assumed for `while` loops without an `@hint`.
-    pub default_while_trips: u32,
-    /// Weight applied to each arm of an `if`.
-    pub branch_factor: f64,
     /// Time charged for a `wait until` (synchronization stall estimate).
     pub wait_until_ns: f64,
 }
@@ -27,8 +27,6 @@ pub struct LifetimeConfig {
 impl Default for LifetimeConfig {
     fn default() -> Self {
         Self {
-            default_while_trips: 4,
-            branch_factor: 0.5,
             wait_until_ns: 1000.0,
         }
     }
@@ -208,30 +206,19 @@ fn stmt_cost(spec: &Spec, s: &Stmt, model: &TimingModel, config: &LifetimeConfig
         } => {
             model.branch_ns
                 + model.expr_cost(cond.op_count(), loads(cond))
-                + config.branch_factor * stmts_cost(spec, then_body, model, config)
-                + config.branch_factor * stmts_cost(spec, else_body, model, config)
+                + BRANCH_WEIGHT * stmts_cost(spec, then_body, model, config)
+                + BRANCH_WEIGHT * stmts_cost(spec, else_body, model, config)
         }
-        Stmt::While {
-            cond,
-            body,
-            trip_hint,
-        } => {
-            let trips = f64::from(trip_hint.unwrap_or(config.default_while_trips));
+        Stmt::While { cond, body, .. } => {
+            let trips = loop_trips(s);
             let cond_cost = model.expr_cost(cond.op_count(), loads(cond));
             (trips + 1.0) * (cond_cost + model.branch_ns)
                 + trips * (stmts_cost(spec, body, model, config) + model.loop_overhead_ns)
         }
-        Stmt::For { from, to, body, .. } => {
-            let trips = match (
-                modref_graph::access::const_value(from),
-                modref_graph::access::const_value(to),
-            ) {
-                (Some(f), Some(t)) if t > f => (t - f) as f64,
-                _ => f64::from(config.default_while_trips),
-            };
-            trips * (stmts_cost(spec, body, model, config) + model.loop_overhead_ns)
+        Stmt::For { body, .. } => {
+            loop_trips(s) * (stmts_cost(spec, body, model, config) + model.loop_overhead_ns)
         }
-        Stmt::Loop { body } => stmts_cost(spec, body, model, config),
+        Stmt::Loop { body } => loop_trips(s) * stmts_cost(spec, body, model, config),
         Stmt::Call { sub, args } => {
             let body = spec.subroutine(*sub).body();
             let arg_cost: f64 = args

@@ -1,34 +1,37 @@
 //! Static access counting: how many times does a behavior read or write
 //! each variable per activation?
 //!
-//! Loop bodies multiply their contents by an estimated trip count:
-//! `for` loops with constant bounds are exact, `while` loops use their
-//! `@hint` annotation or a configurable default, and `if` branches are
-//! weighted by a configurable taken-probability. The counts feed the
-//! channel-transfer-rate estimator (`modref-estimate`), which implements
-//! the paper's Figure 9 metric.
+//! Loop bodies multiply their contents by an estimated trip count
+//! ([`loop_trips`]): `for` loops with constant bounds are exact, `while`
+//! loops use their `@hint` annotation or 4, and each arm of an `if` is
+//! weighted by [`BRANCH_WEIGHT`]. The counts feed the channel-transfer-rate
+//! estimator (`modref-estimate`), which implements the paper's Figure 9
+//! metric and weights its lifetimes with the same two functions.
 
 use std::collections::HashMap;
 
 use modref_spec::stmt::CallArg;
-use modref_spec::{BehaviorId, Expr, LValue, Spec, Stmt, VarId, WaitCond};
+use modref_spec::{BehaviorId, Spec, Stmt, VarId, WaitCond};
 
-/// Tuning knobs for static access counting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CountConfig {
-    /// Trip count assumed for `while` loops without an `@hint`.
-    pub default_while_trips: u32,
-    /// Weight applied to each arm of an `if` (0.5 = branches equally
-    /// likely; 1.0 = pessimistic both-arms upper bound).
-    pub branch_factor: f64,
-}
+/// Weight of each arm of an `if`: both arms are taken to be equally likely.
+pub const BRANCH_WEIGHT: f64 = 0.5;
 
-impl Default for CountConfig {
-    fn default() -> Self {
-        Self {
-            default_while_trips: 4,
-            branch_factor: 0.5,
-        }
+/// Estimated passes through a loop statement's body per execution of the
+/// statement. A `for` loop whose bounds are constants with `from < to`
+/// runs `to - from` times (taken in `i128`, so it never wraps); any other
+/// `for` and a `while` without an `@hint` run 4 times, and a hinted
+/// `while` runs its hint. A `loop` (an infinite server loop) counts one
+/// pass, as does any other statement: the estimators scale by activation
+/// frequency separately.
+pub fn loop_trips(s: &Stmt) -> f64 {
+    const DEFAULT_TRIPS: f64 = 4.0;
+    match s {
+        Stmt::While { trip_hint, .. } => trip_hint.map_or(DEFAULT_TRIPS, f64::from),
+        Stmt::For { from, to, .. } => match (from.const_value(), to.const_value()) {
+            (Some(f), Some(t)) if t > f => (i128::from(t) - i128::from(f)) as f64,
+            _ => DEFAULT_TRIPS,
+        },
+        _ => 1.0,
     }
 }
 
@@ -82,11 +85,11 @@ impl AccessCounts {
 /// For leaf behaviors this walks the statement body. For composites it
 /// counts only the accesses in transition guards — each child behavior
 /// owns its own accesses (and gets its own channels).
-pub fn count_accesses(spec: &Spec, behavior: BehaviorId, config: &CountConfig) -> AccessCounts {
+pub fn count_accesses(spec: &Spec, behavior: BehaviorId) -> AccessCounts {
     let mut counts = AccessCounts::default();
     let b = spec.behavior(behavior);
     if let Some(body) = b.body() {
-        count_stmts(spec, body, 1.0, config, &mut counts);
+        count_stmts(spec, body, 1.0, &mut counts);
     }
     for t in b.transitions() {
         if let Some(cond) = &t.cond {
@@ -98,19 +101,13 @@ pub fn count_accesses(spec: &Spec, behavior: BehaviorId, config: &CountConfig) -
     counts
 }
 
-fn count_stmts(
-    spec: &Spec,
-    stmts: &[Stmt],
-    weight: f64,
-    config: &CountConfig,
-    counts: &mut AccessCounts,
-) {
+fn count_stmts(spec: &Spec, stmts: &[Stmt], weight: f64, counts: &mut AccessCounts) {
     for s in stmts {
-        count_stmt(spec, s, weight, config, counts);
+        count_stmt(spec, s, weight, counts);
     }
 }
 
-fn count_stmt(spec: &Spec, s: &Stmt, weight: f64, config: &CountConfig, counts: &mut AccessCounts) {
+fn count_stmt(spec: &Spec, s: &Stmt, weight: f64, counts: &mut AccessCounts) {
     match s {
         Stmt::Assign { target, value } => {
             for v in value.reads() {
@@ -142,32 +139,16 @@ fn count_stmt(spec: &Spec, s: &Stmt, weight: f64, config: &CountConfig, counts: 
             for v in cond.reads() {
                 counts.add_read(v, weight);
             }
-            count_stmts(
-                spec,
-                then_body,
-                weight * config.branch_factor,
-                config,
-                counts,
-            );
-            count_stmts(
-                spec,
-                else_body,
-                weight * config.branch_factor,
-                config,
-                counts,
-            );
+            count_stmts(spec, then_body, weight * BRANCH_WEIGHT, counts);
+            count_stmts(spec, else_body, weight * BRANCH_WEIGHT, counts);
         }
-        Stmt::While {
-            cond,
-            body,
-            trip_hint,
-        } => {
-            let trips = f64::from(trip_hint.unwrap_or(config.default_while_trips));
+        Stmt::While { cond, body, .. } => {
+            let trips = loop_trips(s);
             // The condition is evaluated trips+1 times.
             for v in cond.reads() {
                 counts.add_read(v, weight * (trips + 1.0));
             }
-            count_stmts(spec, body, weight * trips, config, counts);
+            count_stmts(spec, body, weight * trips, counts);
         }
         Stmt::For {
             var,
@@ -178,18 +159,11 @@ fn count_stmt(spec: &Spec, s: &Stmt, weight: f64, config: &CountConfig, counts: 
             for v in from.reads().into_iter().chain(to.reads()) {
                 counts.add_read(v, weight);
             }
-            let trips = match (const_value(from), const_value(to)) {
-                (Some(f), Some(t)) if t > f => (t - f) as f64,
-                _ => f64::from(config.default_while_trips),
-            };
+            let trips = loop_trips(s);
             counts.add_write(*var, weight * trips);
-            count_stmts(spec, body, weight * trips, config, counts);
+            count_stmts(spec, body, weight * trips, counts);
         }
-        Stmt::Loop { body } => {
-            // An infinite server loop: count one pass; the estimator scales
-            // by activation frequency separately.
-            count_stmts(spec, body, weight, config, counts);
-        }
+        Stmt::Loop { body } => count_stmts(spec, body, weight * loop_trips(s), counts),
         Stmt::Call { sub, args } => {
             for a in args {
                 match a {
@@ -210,77 +184,16 @@ fn count_stmt(spec: &Spec, s: &Stmt, weight: f64, config: &CountConfig, counts: 
             }
             // Subroutine bodies access shared variables too (protocol
             // bodies touch signals only, but user subroutines may not).
-            let body = spec.subroutine(*sub).body().to_vec();
-            count_stmts(spec, &body, weight, config, counts);
+            count_stmts(spec, spec.subroutine(*sub).body(), weight, counts);
         }
     }
-}
-
-/// Evaluates an expression to a constant if it contains no variable,
-/// signal or parameter references.
-pub fn const_value(e: &Expr) -> Option<i64> {
-    match e {
-        Expr::Lit(v) => Some(*v),
-        Expr::Unary(op, inner) => {
-            let v = const_value(inner)?;
-            Some(match op {
-                modref_spec::UnOp::Neg => -v,
-                modref_spec::UnOp::Not => i64::from(v == 0),
-            })
-        }
-        Expr::Binary(op, l, r) => {
-            let l = const_value(l)?;
-            let r = const_value(r)?;
-            use modref_spec::BinOp::*;
-            Some(match op {
-                Add => l.wrapping_add(r),
-                Sub => l.wrapping_sub(r),
-                Mul => l.wrapping_mul(r),
-                Div => {
-                    if r == 0 {
-                        0
-                    } else {
-                        l / r
-                    }
-                }
-                Rem => {
-                    if r == 0 {
-                        0
-                    } else {
-                        l % r
-                    }
-                }
-                Eq => i64::from(l == r),
-                Ne => i64::from(l != r),
-                Lt => i64::from(l < r),
-                Le => i64::from(l <= r),
-                Gt => i64::from(l > r),
-                Ge => i64::from(l >= r),
-                And => i64::from(l != 0 && r != 0),
-                Or => i64::from(l != 0 || r != 0),
-                BitAnd => l & r,
-                BitOr => l | r,
-                BitXor => l ^ r,
-                Shl => l.wrapping_shl(r as u32),
-                Shr => l.wrapping_shr(r as u32),
-            })
-        }
-        _ => None,
-    }
-}
-
-// Re-exported for convenience in doc position; `LValue` used via trait
-// methods above.
-#[allow(unused)]
-fn _assert_lvalue_used(lv: &LValue) -> Option<VarId> {
-    lv.var_opt()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use modref_spec::builder::SpecBuilder;
-    use modref_spec::{expr, stmt};
+    use modref_spec::{expr, stmt, Expr};
 
     #[test]
     fn straight_line_counts_are_exact() {
@@ -296,7 +209,7 @@ mod tests {
         );
         let top = b.seq_in_order("Top", vec![a]);
         let spec = b.finish(top).expect("valid");
-        let c = count_accesses(&spec, a, &CountConfig::default());
+        let c = count_accesses(&spec, a);
         assert_eq!(c.reads[&x], 2.0); // x read in both statements
         assert_eq!(c.writes[&x], 1.0);
         assert_eq!(c.writes[&y], 1.0);
@@ -318,7 +231,7 @@ mod tests {
         );
         let top = b.seq_in_order("Top", vec![a]);
         let spec = b.finish(top).expect("valid");
-        let c = count_accesses(&spec, a, &CountConfig::default());
+        let c = count_accesses(&spec, a);
         assert_eq!(c.reads[&x], 10.0);
         assert_eq!(c.writes[&x], 10.0);
     }
@@ -337,7 +250,7 @@ mod tests {
         );
         let top = b.seq_in_order("Top", vec![a]);
         let spec = b.finish(top).expect("valid");
-        let c = count_accesses(&spec, a, &CountConfig::default());
+        let c = count_accesses(&spec, a);
         // condition: 9 reads; body: 8 reads + 8 writes
         assert_eq!(c.reads[&x], 17.0);
         assert_eq!(c.writes[&x], 8.0);
@@ -358,7 +271,7 @@ mod tests {
         );
         let top = b.seq_in_order("Top", vec![a]);
         let spec = b.finish(top).expect("valid");
-        let c = count_accesses(&spec, a, &CountConfig::default());
+        let c = count_accesses(&spec, a);
         assert_eq!(c.reads[&x], 1.0); // condition always evaluated
         assert_eq!(c.writes[&y], 1.0); // 0.5 + 0.5
     }
@@ -372,17 +285,23 @@ mod tests {
         let arcs = vec![b.arc_when(a, expr::gt(expr::var(x), expr::lit(1)), c_)];
         let top = b.seq("Top", vec![a, c_], arcs);
         let spec = b.finish(top).expect("valid");
-        let counts = count_accesses(&spec, top, &CountConfig::default());
+        let counts = count_accesses(&spec, top);
         assert_eq!(counts.guard_reads[&x], 1.0);
         assert_eq!(counts.reads[&x], 1.0);
     }
 
     #[test]
-    fn const_value_folds_arithmetic() {
-        let e = expr::mul(expr::add(expr::lit(2), expr::lit(3)), expr::lit(4));
-        assert_eq!(const_value(&e), Some(20));
-        assert_eq!(const_value(&expr::var(VarId::from_raw(0))), None);
-        assert_eq!(const_value(&expr::div(expr::lit(1), expr::lit(0))), Some(0));
+    fn for_trips_are_exact_and_never_wrap() {
+        let i = VarId::from_raw(0);
+        let trips = |from: Expr, to: Expr| loop_trips(&stmt::for_loop(i, from, to, vec![]));
+        assert_eq!(trips(expr::lit(2), expr::lit(12)), 10.0);
+        // Empty or unknown ranges take the default.
+        assert_eq!(trips(expr::lit(5), expr::lit(5)), 4.0);
+        assert_eq!(trips(expr::var(i), expr::lit(5)), 4.0);
+        // `to - from` overflows `i64` here; the count must stay positive.
+        let min_plus_one = expr::sub(expr::lit(0), expr::lit(i64::MAX));
+        // 2^64 - 2 trips, which rounds to 2^64 as an `f64`.
+        assert_eq!(trips(min_plus_one, expr::lit(i64::MAX)), 2f64.powi(64));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use modref_spec::{BehaviorId, Spec, TransitionTarget, VarId};
 
-use crate::access::{count_accesses, AccessCounts, CountConfig};
+use crate::access::{count_accesses, AccessCounts};
 use crate::channel::{Channel, ChannelId, ChannelKind, Direction};
 
 /// The derived access graph of a specification: behaviors and variables
@@ -35,13 +35,8 @@ pub struct AccessGraph {
 }
 
 impl AccessGraph {
-    /// Derives the access graph with default counting configuration.
+    /// Derives the access graph of `spec`.
     pub fn derive(spec: &Spec) -> Self {
-        Self::derive_with(spec, &CountConfig::default())
-    }
-
-    /// Derives the access graph with an explicit counting configuration.
-    pub fn derive_with(spec: &Spec, config: &CountConfig) -> Self {
         let mut channels = Vec::new();
         let mut counts = HashMap::new();
         let mut by_var: HashMap<VarId, Vec<ChannelId>> = HashMap::new();
@@ -60,7 +55,7 @@ impl AccessGraph {
         };
 
         for behavior in spec.reachable() {
-            let acc = count_accesses(spec, behavior, config);
+            let acc = count_accesses(spec, behavior);
 
             // Data channels: one per (behavior, var, direction). The
             // access maps are hashed; sort by variable id so channel

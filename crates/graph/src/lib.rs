@@ -30,6 +30,6 @@ pub mod channel;
 pub mod dot;
 pub mod graph;
 
-pub use access::{AccessCounts, CountConfig};
+pub use access::AccessCounts;
 pub use channel::{Channel, ChannelId, ChannelKind, Direction};
 pub use graph::AccessGraph;

@@ -162,12 +162,19 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. Wire
+/// messages and trace events nest a few levels; the bound keeps the
+/// recursive reader off the end of its thread's stack on hostile input.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one complete JSON value from `text`, requiring that nothing
-/// but whitespace follows.
+/// but whitespace follows and that arrays and objects nest at most
+/// [`MAX_DEPTH`] deep.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -181,6 +188,8 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects enclosing the value being read.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -212,8 +221,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.lit("true", Value::Bool(true)),
             Some(b'f') => self.lit("false", Value::Bool(false)),
@@ -406,6 +426,19 @@ mod tests {
         for bad in ["{", "[1,", "\"unterminated", "{\"a\" 1}", "01x", "{} junk"] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(err.msg.contains("nesting"), "{err}");
+        // Far past the bound, the reader still answers instead of
+        // overflowing its stack.
+        assert!(parse(&nested(200_000)).is_err());
+        assert!(parse(&format!("{}1", "{\"a\":".repeat(MAX_DEPTH + 1))).is_err());
     }
 
     #[test]

@@ -114,19 +114,22 @@ where
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("slot lock")
-                    .take()
-                    .expect("each slot is claimed once");
-                let r = f(i, item);
-                *results[i].lock().expect("result lock") = Some(r);
-            });
+            std::thread::Builder::new()
+                .stack_size(modref_spec::parser::THREAD_STACK)
+                .spawn_scoped(scope, || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let item = slots[i]
+                        .lock()
+                        .expect("slot lock")
+                        .take()
+                        .expect("each slot is claimed once");
+                    let r = f(i, item);
+                    *results[i].lock().expect("result lock") = Some(r);
+                })
+                .expect("spawn an exploration thread");
         }
     });
 

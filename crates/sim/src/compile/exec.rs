@@ -351,7 +351,7 @@ fn eval(
         [l, r, EOp::Bin(op)] if !pops(l) && !pops(r) => {
             let lv = leaf(prog, calls, params, state, l)?;
             let rv = leaf(prog, calls, params, state, r)?;
-            Ok(crate::process::eval_binop(*op, lv, rv))
+            Ok(op.eval(lv, rv))
         }
         _ => eval_stack(prog, spec, calls, params, state, stack, ops),
     }
@@ -375,14 +375,11 @@ fn eval_stack(
                 let i = stack.pop().unwrap_or(0);
                 index_var(spec, state, *slot, i)?
             }
-            EOp::Un(op) => {
-                let v = stack.pop().unwrap_or(0);
-                super::optimize::apply_un(*op, v)
-            }
+            EOp::Un(op) => op.eval(stack.pop().unwrap_or(0)),
             EOp::Bin(op) => {
                 let r = stack.pop().unwrap_or(0);
                 let l = stack.pop().unwrap_or(0);
-                crate::process::eval_binop(*op, l, r)
+                op.eval(l, r)
             }
             leaf_op => leaf(prog, calls, params, state, leaf_op)?,
         };

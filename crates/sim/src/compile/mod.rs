@@ -14,8 +14,8 @@
 //!    path), resolve subroutine parameters to frame slots at compile
 //!    time, and pre-derive each wait-site's sensitivity list.
 //! 2. **optimize** (`optimize`) — constant-fold literal subtrees during
-//!    linearization (using the same [`eval_binop`](crate::process) as the
-//!    runtime) and rewrite branches on folded conditions. Every rewrite
+//!    linearization (using the same [`BinOp::eval`](modref_spec::BinOp::eval)
+//!    as the runtime) and rewrite branches on folded conditions. Every rewrite
 //!    preserves the interpreter's micro-step count exactly.
 //! 3. **emit** (`emit`) — resolve labels to absolute program counters
 //!    and assemble the final [`CompiledSpec`].

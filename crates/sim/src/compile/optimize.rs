@@ -1,35 +1,24 @@
 //! Optimization: constant folding and branch rewrites on folded
 //! conditions.
 //!
-//! Folding uses the *interpreter's* operator semantics
-//! ([`eval_binop`](crate::process::eval_binop) and the same unary rules),
-//! so a folded program computes bit-identical values. Only full-literal
-//! subtrees fold: algebraic identities like `x * 0 → 0` are unsound here
-//! because the eliminated operand could fault at runtime (out-of-bounds
-//! index, unbound parameter) and the interpreter always evaluates both
-//! sides. Every rewrite also preserves instruction count at each point a
+//! Folding uses the interpreter's operator semantics ([`BinOp::eval`] and
+//! [`UnOp::eval`]), so a folded program computes bit-identical values.
+//! Only full-literal subtrees fold: algebraic identities like `x * 0 → 0`
+//! are unsound here because the eliminated operand could fault at runtime
+//! (out-of-bounds index, unbound parameter) and the interpreter always
+//! evaluates both sides. Every rewrite also preserves instruction count at each point a
 //! pc can observe, keeping micro-step parity with the interpreters.
 
 use modref_spec::{BinOp, UnOp};
 
 use super::lower::Lowered;
 use super::{EOp, ExprRef, Instr};
-use crate::process::eval_binop;
-
-/// Applies a unary operator with the interpreter's semantics.
-pub(crate) fn apply_un(op: UnOp, v: i64) -> i64 {
-    match op {
-        UnOp::Neg => v.wrapping_neg(),
-        UnOp::Not => i64::from(v == 0),
-    }
-}
 
 /// Pushes a unary operation onto a postfix buffer, folding when the
 /// operand already reduced to a constant.
 pub(crate) fn push_un(buf: &mut Vec<EOp>, op: UnOp) {
     if let Some(EOp::Const(v)) = buf.last() {
-        let folded = apply_un(op, *v);
-        *buf.last_mut().expect("just matched") = EOp::Const(folded);
+        *buf.last_mut().expect("just matched") = EOp::Const(op.eval(*v));
     } else {
         buf.push(EOp::Un(op));
     }
@@ -42,7 +31,7 @@ pub(crate) fn push_un(buf: &mut Vec<EOp>, op: UnOp) {
 /// subtree.
 pub(crate) fn push_bin(buf: &mut Vec<EOp>, op: BinOp) {
     if let [.., EOp::Const(l), EOp::Const(r)] = buf.as_slice() {
-        let folded = eval_binop(op, *l, *r);
+        let folded = op.eval(*l, *r);
         buf.pop();
         *buf.last_mut().expect("just matched") = EOp::Const(folded);
     } else {

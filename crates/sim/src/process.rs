@@ -17,8 +17,7 @@ use std::collections::HashMap;
 
 use modref_spec::stmt::CallArg;
 use modref_spec::{
-    BehaviorId, BehaviorKind, BinOp, Expr, LValue, Spec, Stmt, TransitionTarget, UnOp, VarId,
-    WaitCond,
+    BehaviorId, BehaviorKind, Expr, LValue, Spec, Stmt, TransitionTarget, VarId, WaitCond,
 };
 
 use crate::error::SimError;
@@ -598,17 +597,11 @@ impl<'a> Process<'a> {
             }
             Expr::Signal(s) => state.signals[s.index()],
             Expr::Param(name) => self.read_param(name)?,
-            Expr::Unary(op, inner) => {
-                let v = self.eval(spec, state, inner)?;
-                match op {
-                    UnOp::Neg => v.wrapping_neg(),
-                    UnOp::Not => i64::from(v == 0),
-                }
-            }
+            Expr::Unary(op, inner) => op.eval(self.eval(spec, state, inner)?),
             Expr::Binary(op, l, r) => {
                 let l = self.eval(spec, state, l)?;
                 let r = self.eval(spec, state, r)?;
-                eval_binop(*op, l, r)
+                op.eval(l, r)
             }
         })
     }
@@ -781,56 +774,11 @@ impl<'a> Executor<'a> for Interpreter<'a> {
     }
 }
 
-/// Binary-operator semantics shared by the interpreters and the compiled
-/// kernel (both its runtime and its constant folder): wrapping integer
-/// arithmetic, division/remainder by zero yielding 0, shift amounts
-/// masked to the `i64` width, comparisons and logical ops yielding 0/1.
-pub(crate) fn eval_binop(op: BinOp, l: i64, r: i64) -> i64 {
-    match op {
-        BinOp::Add => l.wrapping_add(r),
-        BinOp::Sub => l.wrapping_sub(r),
-        BinOp::Mul => l.wrapping_mul(r),
-        BinOp::Div => {
-            if r == 0 {
-                0
-            } else {
-                l.wrapping_div(r)
-            }
-        }
-        BinOp::Rem => {
-            if r == 0 {
-                0
-            } else {
-                l.wrapping_rem(r)
-            }
-        }
-        BinOp::Eq => i64::from(l == r),
-        BinOp::Ne => i64::from(l != r),
-        BinOp::Lt => i64::from(l < r),
-        BinOp::Le => i64::from(l <= r),
-        BinOp::Gt => i64::from(l > r),
-        BinOp::Ge => i64::from(l >= r),
-        BinOp::And => i64::from(l != 0 && r != 0),
-        BinOp::Or => i64::from(l != 0 || r != 0),
-        BinOp::BitAnd => l & r,
-        BinOp::BitOr => l | r,
-        BinOp::BitXor => l ^ r,
-        BinOp::Shl => l.wrapping_shl(r as u32 & 63),
-        BinOp::Shr => l.wrapping_shr(r as u32 & 63),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use modref_spec::builder::SpecBuilder;
     use modref_spec::{expr, stmt};
-
-    #[test]
-    fn binop_division_by_zero_is_zero() {
-        assert_eq!(eval_binop(BinOp::Div, 5, 0), 0);
-        assert_eq!(eval_binop(BinOp::Rem, 5, 0), 0);
-    }
 
     #[test]
     fn eval_basic_expression() {

@@ -47,16 +47,18 @@ impl Storage {
 pub fn wrap_scalar(v: i64, ty: ScalarType) -> i64 {
     match ty {
         ScalarType::Bit | ScalarType::Bool => i64::from(v != 0),
+        // Widths cap at 63 bits, where `1 << w` is `i64::MIN`: the masks
+        // shift `i64::MAX` down and the sign extension wraps.
         ScalarType::Uint(w) => {
             let w = u32::from(w).min(63);
-            v & ((1i64 << w) - 1)
+            v & (i64::MAX >> (63 - w))
         }
         ScalarType::Int(w) => {
             let w = u32::from(w).min(63);
-            let masked = v & ((1i64 << w) - 1);
+            let masked = v & (i64::MAX >> (63 - w));
             let sign_bit = 1i64 << (w - 1);
             if masked & sign_bit != 0 {
-                masked - (1i64 << w)
+                masked.wrapping_sub(1i64 << w)
             } else {
                 masked
             }
@@ -86,6 +88,15 @@ mod tests {
         assert_eq!(wrap_scalar(127, ScalarType::Int(8)), 127);
         assert_eq!(wrap_scalar(-129, ScalarType::Int(8)), 127);
         assert_eq!(wrap_scalar(255, ScalarType::Int(8)), -1);
+    }
+
+    #[test]
+    fn wide_int_sign_extends_without_overflow() {
+        // Widths cap at 63 bits, which must neither overflow nor panic.
+        assert_eq!(wrap_scalar(-1, ScalarType::Uint(64)), i64::MAX);
+        assert_eq!(wrap_scalar(1 << 62, ScalarType::Int(64)), -(1 << 62));
+        assert_eq!(wrap_scalar(i64::MIN, ScalarType::Int(64)), 0);
+        assert_eq!(wrap_scalar(-1, ScalarType::Int(64)), -1);
     }
 
     #[test]

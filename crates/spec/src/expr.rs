@@ -36,6 +36,18 @@ pub enum UnOp {
     Not,
 }
 
+impl UnOp {
+    /// What the operator computes: wrapping negation, and logical not
+    /// yielding 0/1. The simulators and every constant folder use this.
+    #[inline]
+    pub fn eval(self, v: i64) -> i64 {
+        match self {
+            UnOp::Neg => v.wrapping_neg(),
+            UnOp::Not => i64::from(v == 0),
+        }
+    }
+}
+
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
@@ -79,6 +91,36 @@ pub enum BinOp {
 }
 
 impl BinOp {
+    /// What the operator computes: wrapping integer arithmetic,
+    /// division/remainder by zero yielding 0, shift amounts masked to the
+    /// `i64` width, comparisons and logical ops yielding 0/1. The
+    /// simulators and every constant folder use this.
+    #[inline]
+    pub fn eval(self, l: i64, r: i64) -> i64 {
+        match self {
+            BinOp::Add => l.wrapping_add(r),
+            BinOp::Sub => l.wrapping_sub(r),
+            BinOp::Mul => l.wrapping_mul(r),
+            BinOp::Div if r == 0 => 0,
+            BinOp::Div => l.wrapping_div(r),
+            BinOp::Rem if r == 0 => 0,
+            BinOp::Rem => l.wrapping_rem(r),
+            BinOp::Eq => i64::from(l == r),
+            BinOp::Ne => i64::from(l != r),
+            BinOp::Lt => i64::from(l < r),
+            BinOp::Le => i64::from(l <= r),
+            BinOp::Gt => i64::from(l > r),
+            BinOp::Ge => i64::from(l >= r),
+            BinOp::And => i64::from(l != 0 && r != 0),
+            BinOp::Or => i64::from(l != 0 || r != 0),
+            BinOp::BitAnd => l & r,
+            BinOp::BitOr => l | r,
+            BinOp::BitXor => l ^ r,
+            BinOp::Shl => l.wrapping_shl(r as u32 & 63),
+            BinOp::Shr => l.wrapping_shr(r as u32 & 63),
+        }
+    }
+
     /// Whether the operator yields a boolean (0/1) result.
     pub fn is_comparison(self) -> bool {
         matches!(
@@ -170,6 +212,17 @@ impl Expr {
                 l.collect_signal_reads(out);
                 r.collect_signal_reads(out);
             }
+        }
+    }
+
+    /// The expression's value if it reads no variable, signal or
+    /// parameter, folded with [`UnOp::eval`] and [`BinOp::eval`].
+    pub fn const_value(&self) -> Option<i64> {
+        match self {
+            Expr::Lit(v) => Some(*v),
+            Expr::Unary(op, e) => Some(op.eval(e.const_value()?)),
+            Expr::Binary(op, l, r) => Some(op.eval(l.const_value()?, r.const_value()?)),
+            Expr::Var(_) | Expr::Index(..) | Expr::Signal(_) | Expr::Param(_) => None,
         }
     }
 
@@ -327,6 +380,32 @@ mod tests {
         assert_eq!(lit(1).op_count(), 0);
         assert_eq!(add(lit(1), lit(2)).op_count(), 1);
         assert_eq!(not(add(lit(1), mul(lit(2), lit(3)))).op_count(), 3);
+    }
+
+    #[test]
+    fn division_by_zero_is_zero() {
+        assert_eq!(BinOp::Div.eval(5, 0), 0);
+        assert_eq!(BinOp::Rem.eval(5, 0), 0);
+    }
+
+    #[test]
+    fn const_value_folds_arithmetic() {
+        assert_eq!(mul(add(lit(2), lit(3)), lit(4)).const_value(), Some(20));
+        assert_eq!(var(v(0)).const_value(), None);
+        assert_eq!(add(lit(1), var(v(0))).const_value(), None);
+        assert_eq!(div(lit(1), lit(0)).const_value(), Some(0));
+    }
+
+    #[test]
+    fn const_value_wraps_where_plain_arithmetic_overflows() {
+        let min = sub(sub(lit(0), lit(i64::MAX)), lit(1));
+        assert_eq!(min.const_value(), Some(i64::MIN));
+        assert_eq!(div(min.clone(), lit(-1)).const_value(), Some(i64::MIN));
+        assert_eq!(
+            binary(BinOp::Rem, min.clone(), lit(-1)).const_value(),
+            Some(0)
+        );
+        assert_eq!(neg(min).const_value(), Some(i64::MIN));
     }
 
     #[test]

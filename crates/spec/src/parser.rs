@@ -11,6 +11,10 @@
 //! source position of every declaration, transition and statement, which
 //! is what lets downstream diagnostics point at real `file:line:col`
 //! locations instead of just naming the offending object.
+//!
+//! Statements and expressions may nest at most [`MAX_NESTING`] levels
+//! deep, so that no recursive pass over a parsed spec can exhaust a
+//! thread's stack.
 
 use crate::behavior::{Behavior, BehaviorKind, Transition, TransitionTarget};
 use crate::error::ParseError;
@@ -22,6 +26,23 @@ use crate::stmt::{CallArg, LValue, Stmt, WaitCond};
 use crate::subroutine::{ParamDir, Parameter, Subroutine};
 use crate::types::{DataType, ScalarType};
 use crate::validate;
+
+/// The deepest nesting a specification may have. Each statement is one
+/// level inside the statement whose body holds it. Each operand,
+/// operator, index and pair of parentheses is one level inside the
+/// statement or transition guard it belongs to, so `a || b || c` is 3
+/// levels deep and `x := (a);` in a leaf body is 3 levels deep.
+///
+/// The parser, the resolver, the validator, the printer, the lints, the
+/// refiner and the simulators all walk statements and expressions
+/// recursively; past this bound the parser returns a [`ParseError`]
+/// instead of building a tree those walks could overflow a stack on.
+pub const MAX_NESTING: usize = 512;
+
+/// The stack a thread that handles specifications is spawned with: the
+/// main thread's usual size, which holds every recursive pass over a
+/// spec nested [`MAX_NESTING`] deep even in a debug build.
+pub const THREAD_STACK: usize = 8 << 20;
 
 /// Parses a complete specification from text.
 ///
@@ -179,11 +200,38 @@ enum CstExpr {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels enclosing the construct being parsed.
+    depth: usize,
 }
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Self { tokens, pos: 0 }
+        Self {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.fits(1)?;
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Checks that a construct `levels` deep fits below the current depth,
+    /// and returns `levels`.
+    fn fits(&self, levels: usize) -> Result<usize, ParseError> {
+        if self.depth + levels > MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        Ok(levels)
     }
 
     fn peek(&self) -> &Token {
@@ -549,7 +597,7 @@ impl Parser {
 
     fn parse_stmt(&mut self) -> Result<CstStmt, ParseError> {
         let span = self.here();
-        let kind = self.parse_stmt_kind()?;
+        let kind = self.nested(Self::parse_stmt_kind)?;
         Ok(CstStmt { kind, span })
     }
 
@@ -701,7 +749,7 @@ impl Parser {
                 self.next();
                 if self.peek().kind == TokenKind::LBracket {
                     self.next();
-                    let idx = self.parse_expr()?;
+                    let idx = self.nested(Self::parse_expr)?;
                     self.expect(&TokenKind::RBracket)?;
                     Ok(CstLValue::Index(name, idx))
                 } else {
@@ -713,11 +761,13 @@ impl Parser {
     }
 
     fn parse_expr(&mut self) -> Result<CstExpr, ParseError> {
-        self.parse_binary(0)
+        Ok(self.parse_binary(0)?.0)
     }
 
-    fn parse_binary(&mut self, min_prec: u8) -> Result<CstExpr, ParseError> {
-        let mut lhs = self.parse_unary()?;
+    /// Parses an expression of operators binding at least as tightly as
+    /// `min_prec`, returning it with its height in nesting levels.
+    fn parse_binary(&mut self, min_prec: u8) -> Result<(CstExpr, usize), ParseError> {
+        let (mut lhs, mut height) = self.parse_unary()?;
         #[allow(clippy::while_let_loop)] // two-level break reads clearer here
         loop {
             let op = match &self.peek().kind {
@@ -732,52 +782,53 @@ impl Parser {
                 break;
             }
             self.next();
-            let rhs = self.parse_binary(prec + 1)?;
+            let (rhs, rhs_height) = self.nested(|p| p.parse_binary(prec + 1))?;
+            // A left-associated chain deepens its first operand by one
+            // level per operator without recursing.
+            height = self.fits(1 + height.max(rhs_height))?;
             lhs = CstExpr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_unary(&mut self) -> Result<CstExpr, ParseError> {
-        match &self.peek().kind {
-            TokenKind::Op(op) if op == "-" => {
-                self.next();
-                Ok(CstExpr::Unary(UnOp::Neg, Box::new(self.parse_unary()?)))
-            }
-            TokenKind::Op(op) if op == "!" => {
-                self.next();
-                Ok(CstExpr::Unary(UnOp::Not, Box::new(self.parse_unary()?)))
-            }
-            _ => self.parse_primary(),
-        }
+    fn parse_unary(&mut self) -> Result<(CstExpr, usize), ParseError> {
+        let op = match &self.peek().kind {
+            TokenKind::Op(op) if op == "-" => UnOp::Neg,
+            TokenKind::Op(op) if op == "!" => UnOp::Not,
+            _ => return self.parse_primary(),
+        };
+        self.next();
+        let (e, height) = self.nested(Self::parse_unary)?;
+        Ok((CstExpr::Unary(op, Box::new(e)), height + 1))
     }
 
-    fn parse_primary(&mut self) -> Result<CstExpr, ParseError> {
+    fn parse_primary(&mut self) -> Result<(CstExpr, usize), ParseError> {
+        self.fits(1)?;
         match self.peek().kind.clone() {
             TokenKind::Int(v) => {
                 self.next();
-                Ok(CstExpr::Lit(v))
+                Ok((CstExpr::Lit(v), 1))
             }
             TokenKind::Param(name) => {
                 self.next();
-                Ok(CstExpr::Param(name))
+                Ok((CstExpr::Param(name), 1))
             }
             TokenKind::Ident(name) => {
                 self.next();
                 if self.peek().kind == TokenKind::LBracket {
                     self.next();
-                    let idx = self.parse_expr()?;
+                    let (idx, height) = self.nested(|p| p.parse_binary(0))?;
                     self.expect(&TokenKind::RBracket)?;
-                    Ok(CstExpr::Index(name, Box::new(idx)))
+                    Ok((CstExpr::Index(name, Box::new(idx)), height + 1))
                 } else {
-                    Ok(CstExpr::Name(name))
+                    Ok((CstExpr::Name(name), 1))
                 }
             }
             TokenKind::LParen => {
                 self.next();
-                let e = self.parse_expr()?;
+                let (e, height) = self.nested(|p| p.parse_binary(0))?;
                 self.expect(&TokenKind::RParen)?;
-                Ok(e)
+                Ok((e, height + 1))
             }
             other => Err(self.err(format!(
                 "expected an expression, found {}",
@@ -1236,6 +1287,65 @@ top Top;
     fn reports_syntax_errors_with_position() {
         let err = parse("spec s\n").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    /// Parses a one-leaf spec with `body` on a thread with
+    /// [`THREAD_STACK`]: a debug build needs more than a test thread's
+    /// default stack to parse a spec nested [`MAX_NESTING`] deep.
+    fn parse_leaf(body: String) -> Result<Spec, ParseError> {
+        let src = format!(
+            "spec s;\nvar x : int<16> = 0;\nbehavior L leaf {{\n{body}\n}}\n\
+             behavior Top seq {{ children {{ L; }} }}\ntop Top;\n"
+        );
+        std::thread::Builder::new()
+            .stack_size(THREAD_STACK)
+            .spawn(move || parse(&src))
+            .expect("spawn a parser thread")
+            .join()
+            .expect("the parser returns")
+    }
+
+    /// Leaf bodies whose deepest point is exactly `levels` deep (the
+    /// statement is level 1), one per shape of nesting.
+    fn nested_bodies(levels: usize) -> [(&'static str, String); 4] {
+        let n = levels - 2;
+        [
+            (
+                "parentheses",
+                format!("x := {}x{};", "(".repeat(n), ")".repeat(n)),
+            ),
+            (
+                "operator chain",
+                format!("x := {};", vec!["x"; levels - 1].join(" || ")),
+            ),
+            ("unary chain", format!("x := {}x;", "- ".repeat(n))),
+            (
+                "nested if",
+                format!("{}x := 1;{}", "if (x == 1) {\n".repeat(n), "}\n".repeat(n)),
+            ),
+        ]
+    }
+
+    #[test]
+    fn nesting_at_the_bound_parses() {
+        for (shape, body) in nested_bodies(MAX_NESTING) {
+            if let Err(e) = parse_leaf(body) {
+                panic!("{shape} at the bound: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_parse_error() {
+        let message = format!("nesting deeper than {MAX_NESTING} levels");
+        // Far past the bound the parser answers as it does one level past
+        // it, instead of overflowing its stack.
+        for levels in [MAX_NESTING + 1, 200_000] {
+            for (shape, body) in nested_bodies(levels) {
+                let err = parse_leaf(body).unwrap_err();
+                assert!(err.message.contains(&message), "{shape}, {levels}: {err}");
+            }
+        }
     }
 
     #[test]
