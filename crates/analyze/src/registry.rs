@@ -39,11 +39,13 @@ pub const LINTS: &[Lint] = &[
         code: "ST02",
         name: "broken-hierarchy",
         default_severity: Severity::Error,
-        description: "behavior hierarchy is not a tree rooted at top (shared child, cycle, top used as child, dangling id)",
+        description: "behavior hierarchy is not a tree rooted at top (shared child, cycle, top used as child, dangling id, nested too deep)",
         explain: "The behavior hierarchy must form a tree rooted at `top`: every composite \
                   owns its children exclusively. A shared child, a cycle, `top` used as a \
                   child, or a dangling id breaks the execution semantics, so all deeper \
-                  analyses are skipped until the hierarchy is fixed.",
+                  analyses are skipped until the hierarchy is fixed. A hierarchy nested \
+                  deeper than the statement nesting bound (512 levels) is rejected too: \
+                  the simulators and lints descend it recursively.",
     },
     Lint {
         code: "ST03",

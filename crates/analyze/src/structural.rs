@@ -42,12 +42,14 @@ fn to_diagnostic(spec: &Spec, map: &SourceMap, e: SpecError) -> Diagnostic {
         SpecError::UnknownBehavior(_)
         | SpecError::SharedChild(_)
         | SpecError::HierarchyCycle(_)
-        | SpecError::TopIsChild(_) => {
+        | SpecError::TopIsChild(_)
+        | SpecError::HierarchyTooDeep(_) => {
             let b = match &e {
                 SpecError::UnknownBehavior(b)
                 | SpecError::SharedChild(b)
                 | SpecError::HierarchyCycle(b)
-                | SpecError::TopIsChild(b) => *b,
+                | SpecError::TopIsChild(b)
+                | SpecError::HierarchyTooDeep(b) => *b,
                 _ => unreachable!(),
             };
             let name = behavior_name(spec, b);
@@ -64,6 +66,10 @@ fn to_diagnostic(spec: &Spec, map: &SourceMap, e: SpecError) -> Diagnostic {
                 SpecError::TopIsChild(_) => {
                     format!("top behavior `{name}` is also a child of another behavior")
                 }
+                SpecError::HierarchyTooDeep(_) => format!(
+                    "behavior `{name}` is nested deeper than {} levels",
+                    modref_spec::parser::MAX_NESTING
+                ),
                 _ => unreachable!(),
             };
             Diagnostic::new("ST02", Severity::Error, message).with_object(name)

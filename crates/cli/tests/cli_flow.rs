@@ -456,6 +456,54 @@ fn hostile_nesting_is_a_parse_error_not_a_crash() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A spec whose top `B{levels-1}` heads a chain of single-child `seq`
+/// behaviors `levels` deep, ending in leaf `B0`.
+fn chain_spec(levels: usize) -> String {
+    let mut text =
+        String::from("spec chain;\nvar x : int<16> = 0;\nbehavior B0 leaf { x := x + 1; }\n");
+    for i in 1..levels {
+        text.push_str(&format!(
+            "behavior B{i} seq {{ children {{ B{}; }} }}\n",
+            i - 1
+        ));
+    }
+    text.push_str(&format!("top B{};\n", levels - 1));
+    text
+}
+
+#[test]
+fn hostile_deep_hierarchy_is_a_spec_error_not_a_crash() {
+    use modref_spec::parser::MAX_NESTING;
+    let dir = tmpdir("deep_chain");
+    fs::write(dir.join("deep.spec"), chain_spec(50_000)).expect("write spec");
+    fs::write(dir.join("edge.spec"), chain_spec(MAX_NESTING)).expect("write spec");
+    let message = format!("nested deeper than {MAX_NESTING} levels");
+    for cmd in ["check", "simulate"] {
+        let out = Command::new(modref_bin())
+            .args([cmd, "deep.spec"])
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(stderr.contains(&message), "{cmd}: {stderr}");
+    }
+    // A chain exactly MAX_NESTING deep is within the bound and simulates.
+    let out = Command::new(modref_bin())
+        .args(["simulate", "edge.spec"])
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("x = 1"), "{stdout}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn hostile_deep_trace_line_fails_report_naming_the_line() {
     let dir = tmpdir("deep_trace");

@@ -137,8 +137,10 @@ impl CancelToken {
 /// Phases currently emitted: `explore.job` (one per partition-search
 /// job), `explore.candidates` (once, after ranking — `done == total ==`
 /// candidate count), `explore.rate` (one per candidate × model rate
-/// evaluation) and `verify.job` (one per candidate × model simulation
-/// pair).
+/// evaluation) and `verify.job` (one per verification record, i.e. per
+/// front candidate × model, `total` = record count; candidates with the
+/// same partition are verified by one job, which emits one event for
+/// each of their records when it finishes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct Progress {
@@ -920,8 +922,9 @@ impl Codesign {
     }
 
     /// Verifies an exploration's Pareto front by simulation: every
-    /// distinct front candidate is refined under Models 1–4 and the
-    /// refined spec is simulated against the original. Honors
+    /// distinct front partition is refined under Models 1–4 and the
+    /// refined spec is simulated against the original, and every front
+    /// candidate gets the records of its partition. Honors
     /// [`VerifyOpts::cancel`].
     ///
     /// ```

@@ -19,12 +19,15 @@
 //!
 //! [`Codesign::verify`](crate::api::Codesign::verify) closes the loop
 //! from estimation to *verification*: every distinct Pareto-front
-//! candidate is refined under all four implementation models and the
+//! partition is refined under all four implementation models and the
 //! refined specification is simulated against the original (the paper's
 //! functional-equivalence check), again fanned out over `par_map` — so
 //! the explorer reports not just estimated cost/rate rankings but
 //! simulation-backed pass/fail verdicts and observed bus traffic for the
-//! frontier.
+//! frontier. "Distinct" means partition content: front candidates from
+//! different algorithms or seeds that return the same partition share
+//! one refine → simulate job per model, and each candidate's records
+//! copy its outcome.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -201,8 +204,10 @@ pub struct VerifyRecord {
 /// The outcome of verifying an exploration's Pareto front by simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Verification {
-    /// One record per distinct front candidate × implementation model,
-    /// in front rank order then model order.
+    /// One record per front candidate (a distinct `(algorithm, seed)`)
+    /// × implementation model, in front rank order then model order.
+    /// Candidates with the same partition content carry copies of one
+    /// verification outcome, each under its own algorithm and seed.
     pub records: Vec<VerifyRecord>,
     /// Final simulated time of the original (unrefined) specification.
     pub original_time: u64,
@@ -225,16 +230,27 @@ impl Verification {
 /// The implementation behind
 /// [`Codesign::verify`](crate::api::Codesign::verify): simulates
 /// original vs. refined specifications for every distinct Pareto-front
-/// candidate × Model1–4, in parallel over the deterministic [`par_map`].
+/// partition × Model1–4, in parallel over the deterministic [`par_map`].
+/// Front candidates are the distinct `(algorithm, seed)` pairs; those
+/// whose partitions compare equal (`Partition: PartialEq`, i.e. by
+/// content) share one job per model, and the job's record is copied to
+/// each of them with the candidate's own algorithm and seed. Refinement,
+/// the lint gate and simulation are deterministic, so the records equal
+/// those of verifying every candidate separately.
 ///
 /// Refinement or simulation failures are *reported* (as non-equivalent
 /// records with the error in `detail`), not propagated — a design-space
 /// sweep should show which corners break, not abort on the first one.
 /// Output is identical regardless of thread count. The token is checked
-/// before each candidate × model job; jobs that start after a stop
+/// before each partition × model job; jobs that start after a stop
 /// return a non-equivalent record marked `"stopped"` (the facade then
-/// checks its token and reports the stop reason instead). `progress`
-/// receives `verify.job` per finished candidate × model job.
+/// checks its token and reports the stop reason instead).
+///
+/// The `verify.pass`, `verify.fail`, `verify.static_reject` and
+/// `verify.static_deadlock` counters count records; `verify.sims` counts
+/// the partition × model jobs that ran. `progress` receives one
+/// `verify.job` event per record (`total` = record count): a finished
+/// job emits one for each record it stands for.
 ///
 /// With `check_traces` set, both simulations record full event traces
 /// and each refined run must additionally pass the
@@ -260,6 +276,7 @@ pub(crate) fn verify_pareto_impl(
     let fail_counter = modref_obs::counter("verify.fail");
     let reject_counter = modref_obs::counter("verify.static_reject");
     let deadlock_counter = modref_obs::counter("verify.static_deadlock");
+    let sims_counter = modref_obs::counter("verify.sims");
     let sim_config = SimConfig {
         kernel,
         trace: check_traces,
@@ -271,35 +288,55 @@ pub(crate) fn verify_pareto_impl(
         Err(_) => (0, 0),
     };
 
-    // Distinct front candidates, in rank order. A candidate can appear on
-    // the front under several models; verification refines it under all
-    // four regardless, so deduplicate by identity.
-    let mut cands: Vec<(&'static str, u64, &Partition)> = Vec::new();
+    // Front candidates in rank order, one per (algorithm, seed): a
+    // candidate can appear on the front under several models, and
+    // verification refines it under all four regardless. Different
+    // algorithms and seeds often return the same partition, so each
+    // candidate maps to a distinct partition (compared by content), which
+    // is verified once under the identity of its first candidate.
+    // `shares[di]` counts the candidates partition `di` stands for:
+    // counters and progress count records, not jobs.
+    let mut cands: Vec<(&'static str, u64, usize)> = Vec::new();
+    let mut distinct: Vec<(&'static str, u64, &Partition)> = Vec::new();
+    let mut shares: Vec<u64> = Vec::new();
     for p in exploration.pareto_front() {
-        if !cands
+        if cands
             .iter()
             .any(|&(a, s, _)| a == p.algorithm && s == p.seed)
         {
-            cands.push((p.algorithm, p.seed, &p.partition));
+            continue;
         }
+        let di = match distinct.iter().position(|&(_, _, q)| *q == p.partition) {
+            Some(di) => di,
+            None => {
+                distinct.push((p.algorithm, p.seed, &p.partition));
+                shares.push(0);
+                distinct.len() - 1
+            }
+        };
+        shares[di] += 1;
+        cands.push((p.algorithm, p.seed, di));
     }
 
-    let jobs: Vec<(usize, ImplModel)> = (0..cands.len())
-        .flat_map(|ci| ImplModel::ALL.iter().map(move |&m| (ci, m)))
+    let jobs: Vec<(usize, ImplModel)> = (0..distinct.len())
+        .flat_map(|di| ImplModel::ALL.iter().map(move |&m| (di, m)))
         .collect();
-    let job_total = jobs.len() as u64;
-    let job_done = AtomicU64::new(0);
+    let record_total = (cands.len() * ImplModel::ALL.len()) as u64;
+    let records_done = AtomicU64::new(0);
     let workers = thread_count(threads);
-    let records = par_map(jobs, workers, |_, (ci, model)| {
-        let (algorithm, seed, partition) = cands[ci];
+    let outcomes = par_map(jobs, workers, |_, (di, model)| {
+        let (algorithm, seed, partition) = distinct[di];
+        let share = shares[di];
         let emit_done = || {
             if let Some(p) = progress {
-                let done = job_done.fetch_add(1, Ordering::Relaxed) + 1;
-                p.emit(&Progress {
-                    phase: "verify.job",
-                    done,
-                    total: job_total,
-                });
+                for _ in 0..share {
+                    let done = records_done.fetch_add(1, Ordering::Relaxed) + 1;
+                    p.emit(&Progress {
+                        phase: "verify.job",
+                        done,
+                        total: record_total,
+                    });
+                }
             }
         };
         if cancel.is_some_and(|t| t.stopped().is_some()) {
@@ -315,10 +352,12 @@ pub(crate) fn verify_pareto_impl(
                 bus_traffic: 0,
             };
         }
+        sims_counter.inc();
         let _job = modref_obs::span_under(span_id, "verify.job")
             .attr("algorithm", algorithm)
             .attr("seed", seed)
-            .attr("model", model.name());
+            .attr("model", model.name())
+            .attr("records", share);
         let record = (|| {
             let mut record = VerifyRecord {
                 algorithm,
@@ -345,9 +384,9 @@ pub(crate) fn verify_pareto_impl(
             // the whole step limit before failing).
             let diags = crate::lint::lint_refined_impl(spec, graph, &refined);
             if let Some(codes) = crate::lint::static_reject(&diags) {
-                reject_counter.inc();
+                reject_counter.add(share);
                 if codes.split(", ").any(|c| c.starts_with("DL")) {
-                    deadlock_counter.inc();
+                    deadlock_counter.add(share);
                 }
                 record.detail = format!("static analysis rejected: {codes}");
                 return record;
@@ -396,13 +435,27 @@ pub(crate) fn verify_pareto_impl(
             record
         })();
         if record.equivalent {
-            pass_counter.inc();
+            pass_counter.add(share);
         } else {
-            fail_counter.inc();
+            fail_counter.add(share);
         }
         emit_done();
         record
     });
+
+    let models = ImplModel::ALL.len();
+    let records = cands
+        .iter()
+        .flat_map(|&(algorithm, seed, di)| {
+            outcomes[di * models..(di + 1) * models]
+                .iter()
+                .map(move |outcome| VerifyRecord {
+                    algorithm,
+                    seed,
+                    ..outcome.clone()
+                })
+        })
+        .collect();
 
     Verification {
         records,

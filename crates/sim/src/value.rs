@@ -44,17 +44,22 @@ impl Storage {
 
 /// Wraps `v` into the representable range of `ty` with two's-complement
 /// semantics.
+///
+/// Values are `i64`, so `int<64>` stores every value unchanged, while
+/// `uint<64>` keeps 63 bits: its range is `0..=i64::MAX`, and a negative
+/// value wraps to its low 63 bits.
 pub fn wrap_scalar(v: i64, ty: ScalarType) -> i64 {
     match ty {
         ScalarType::Bit | ScalarType::Bool => i64::from(v != 0),
-        // Widths cap at 63 bits, where `1 << w` is `i64::MIN`: the masks
-        // shift `i64::MAX` down and the sign extension wraps.
+        // Unsigned widths cap at 63 bits: the mask shifts `i64::MAX` down.
         ScalarType::Uint(w) => {
             let w = u32::from(w).min(63);
             v & (i64::MAX >> (63 - w))
         }
+        ScalarType::Int(w) if w >= 64 => v,
+        // Below 64 bits `1 << w` fits and the sign extension wraps.
         ScalarType::Int(w) => {
-            let w = u32::from(w).min(63);
+            let w = u32::from(w);
             let masked = v & (i64::MAX >> (63 - w));
             let sign_bit = 1i64 << (w - 1);
             if masked & sign_bit != 0 {
@@ -92,11 +97,15 @@ mod tests {
 
     #[test]
     fn wide_int_sign_extends_without_overflow() {
-        // Widths cap at 63 bits, which must neither overflow nor panic.
+        // `uint<64>` caps at 63 bits and `int<64>` is the identity; no
+        // width may overflow or panic.
         assert_eq!(wrap_scalar(-1, ScalarType::Uint(64)), i64::MAX);
-        assert_eq!(wrap_scalar(1 << 62, ScalarType::Int(64)), -(1 << 62));
-        assert_eq!(wrap_scalar(i64::MIN, ScalarType::Int(64)), 0);
+        assert_eq!(wrap_scalar(1 << 62, ScalarType::Int(64)), 1 << 62);
+        assert_eq!(wrap_scalar(i64::MIN, ScalarType::Int(64)), i64::MIN);
+        assert_eq!(wrap_scalar(i64::MAX, ScalarType::Int(64)), i64::MAX);
         assert_eq!(wrap_scalar(-1, ScalarType::Int(64)), -1);
+        assert_eq!(wrap_scalar(1 << 62, ScalarType::Int(63)), -(1 << 62));
+        assert_eq!(wrap_scalar(i64::MIN, ScalarType::Int(63)), 0);
     }
 
     #[test]

@@ -38,6 +38,10 @@ pub enum SpecError {
     HierarchyCycle(BehaviorId),
     /// The designated top behavior is a child of another behavior.
     TopIsChild(BehaviorId),
+    /// The behavior sits more than
+    /// [`MAX_NESTING`](crate::parser::MAX_NESTING) levels deep in the
+    /// hierarchy (the first such behavior is reported).
+    HierarchyTooDeep(BehaviorId),
     /// A call's argument list does not match the subroutine signature.
     CallArityMismatch {
         /// The called subroutine.
@@ -76,6 +80,11 @@ impl fmt::Display for SpecError {
             SpecError::TopIsChild(b) => {
                 write!(f, "top behavior {b} is a child of another behavior")
             }
+            SpecError::HierarchyTooDeep(b) => write!(
+                f,
+                "behavior {b} is nested deeper than {} levels",
+                crate::parser::MAX_NESTING
+            ),
             SpecError::CallArityMismatch {
                 sub,
                 expected,

@@ -16,9 +16,12 @@
 //! deep, so that no recursive pass over a parsed spec can exhaust a
 //! thread's stack.
 
+use std::collections::HashMap;
+
 use crate::behavior::{Behavior, BehaviorKind, Transition, TransitionTarget};
 use crate::error::ParseError;
 use crate::expr::{BinOp, Expr, UnOp};
+use crate::ids::BehaviorId;
 use crate::lexer::{lex, Token, TokenKind};
 use crate::span::{SourceMap, Span, StmtOwner, StmtPath};
 use crate::spec::Spec;
@@ -37,6 +40,8 @@ use crate::validate;
 /// refiner and the simulators all walk statements and expressions
 /// recursively; past this bound the parser returns a [`ParseError`]
 /// instead of building a tree those walks could overflow a stack on.
+/// The simulators also descend the behavior hierarchy recursively, so
+/// [`validate::check_all`] rejects a hierarchy deeper than this bound.
 pub const MAX_NESTING: usize = 512;
 
 /// The stack a thread that handles specifications is spawned with: the
@@ -879,8 +884,10 @@ fn resolve(cst: CstSpec) -> Result<(Spec, SourceMap), ParseError> {
         map.record_variable(id, v.span);
     }
 
-    // Create behaviors first (empty), so children and transitions resolve.
+    // Create behaviors first (empty), so children and transitions resolve;
+    // names resolve to the first behavior declared with them.
     let mut behavior_ids = Vec::new();
+    let mut behavior_names: HashMap<&str, BehaviorId> = HashMap::new();
     for b in &cst.behaviors {
         let id = spec.add_behavior(Behavior::new(
             b.name.clone(),
@@ -891,6 +898,7 @@ fn resolve(cst: CstSpec) -> Result<(Spec, SourceMap), ParseError> {
             spec.behavior_mut(id).set_server(true);
         }
         behavior_ids.push(id);
+        behavior_names.entry(b.name.as_str()).or_insert(id);
         for v in &b.vars {
             let vid = spec.add_variable(v.name.clone(), v.ty, v.init, Some(id));
             map.record_variable(vid, v.span);
@@ -938,7 +946,7 @@ fn resolve(cst: CstSpec) -> Result<(Spec, SourceMap), ParseError> {
             } => {
                 let child_ids = children
                     .iter()
-                    .map(|n| lookup_behavior(&spec, n, b.span))
+                    .map(|n| lookup_behavior(&behavior_names, n, b.span))
                     .collect::<Result<Vec<_>, _>>()?;
                 let arcs = transitions
                     .iter()
@@ -946,16 +954,18 @@ fn resolve(cst: CstSpec) -> Result<(Spec, SourceMap), ParseError> {
                     .map(|(arc_index, t)| {
                         map.record_transition(id, arc_index, t.span);
                         Ok(Transition {
-                            from: lookup_behavior(&spec, &t.from, t.span)?,
+                            from: lookup_behavior(&behavior_names, &t.from, t.span)?,
                             cond: t
                                 .cond
                                 .as_ref()
                                 .map(|c| resolve_expr(&spec, c, t.span))
                                 .transpose()?,
                             to: match &t.to {
-                                Some(n) => {
-                                    TransitionTarget::Behavior(lookup_behavior(&spec, n, t.span)?)
-                                }
+                                Some(n) => TransitionTarget::Behavior(lookup_behavior(
+                                    &behavior_names,
+                                    n,
+                                    t.span,
+                                )?),
                                 None => TransitionTarget::Complete,
                             },
                         })
@@ -969,7 +979,7 @@ fn resolve(cst: CstSpec) -> Result<(Spec, SourceMap), ParseError> {
             CstBehaviorKind::Conc { children } => BehaviorKind::Concurrent {
                 children: children
                     .iter()
-                    .map(|n| lookup_behavior(&spec, n, b.span))
+                    .map(|n| lookup_behavior(&behavior_names, n, b.span))
                     .collect::<Result<Vec<_>, _>>()?,
             },
         };
@@ -990,7 +1000,7 @@ fn resolve(cst: CstSpec) -> Result<(Spec, SourceMap), ParseError> {
 
     match &cst.top {
         Some((name, span)) => {
-            let top = lookup_behavior(&spec, name, *span)?;
+            let top = lookup_behavior(&behavior_names, name, *span)?;
             spec.set_top(top);
         }
         None => {
@@ -1006,11 +1016,11 @@ fn resolve(cst: CstSpec) -> Result<(Spec, SourceMap), ParseError> {
 }
 
 fn lookup_behavior(
-    spec: &Spec,
+    names: &HashMap<&str, BehaviorId>,
     name: &str,
     span: Span,
-) -> Result<crate::ids::BehaviorId, ParseError> {
-    spec.behavior_by_name(name).ok_or_else(|| {
+) -> Result<BehaviorId, ParseError> {
+    names.get(name).copied().ok_or_else(|| {
         ParseError::new(span.line, span.col, format!("unresolved behavior `{name}`"))
     })
 }

@@ -192,7 +192,8 @@ pub fn spec_error_span(spec: &Spec, map: &SourceMap, err: &SpecError) -> Option<
         SpecError::UnknownBehavior(b)
         | SpecError::SharedChild(b)
         | SpecError::HierarchyCycle(b)
-        | SpecError::TopIsChild(b) => map.behavior_span(*b),
+        | SpecError::TopIsChild(b)
+        | SpecError::HierarchyTooDeep(b) => map.behavior_span(*b),
         SpecError::TransitionNotSibling { parent, .. } => map.behavior_span(*parent),
         SpecError::UnknownVar(v) | SpecError::IndexingMismatch(v) => map.variable_span(*v),
         SpecError::UnknownSignal(s) => map.signal_span(*s),

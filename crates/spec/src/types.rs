@@ -63,19 +63,18 @@ impl ScalarType {
         matches!(self, ScalarType::Int(_))
     }
 
-    /// The inclusive range of representable values, used by the simulator
-    /// to wrap arithmetic the way fixed-width hardware registers do.
+    /// The inclusive range of representable values: the range the
+    /// simulator wraps stores into, the way fixed-width hardware registers
+    /// do. Values are `i64`, so `uint<64>` keeps 63 bits.
     pub fn value_range(self) -> (i64, i64) {
         match self {
             ScalarType::Bit | ScalarType::Bool => (0, 1),
+            ScalarType::Int(w) if w >= 64 => (i64::MIN, i64::MAX),
             ScalarType::Int(w) => {
-                let w = w.min(63) as u32;
+                let w = u32::from(w);
                 (-(1i64 << (w - 1)), (1i64 << (w - 1)) - 1)
             }
-            ScalarType::Uint(w) => {
-                let w = w.min(63) as u32;
-                (0, (1i64 << w) - 1)
-            }
+            ScalarType::Uint(w) => (0, i64::MAX >> (63 - u32::from(w).min(63))),
         }
     }
 }
@@ -232,6 +231,8 @@ mod tests {
         assert_eq!(ScalarType::Int(8).value_range(), (-128, 127));
         assert_eq!(ScalarType::Uint(8).value_range(), (0, 255));
         assert_eq!(ScalarType::Bit.value_range(), (0, 1));
+        assert_eq!(ScalarType::Int(64).value_range(), (i64::MIN, i64::MAX));
+        assert_eq!(ScalarType::Uint(64).value_range(), (0, i64::MAX));
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! [`check_all`] verifies the invariants the rest of the toolchain relies
 //! on — unique names per entity kind, a tree-shaped behavior hierarchy
-//! rooted at the top, transitions that stay within their composite's
-//! children, call-site arity matching subroutine signatures, and
-//! array/scalar access consistency — and collects *every* violation.
+//! rooted at the top and at most [`MAX_NESTING`] levels deep,
+//! transitions that stay within their composite's children, call-site
+//! arity matching subroutine signatures, and array/scalar access
+//! consistency — and collects *every* violation.
 //! [`check`] is the `Result`-returning shim that reports only the first,
 //! for callers that just need pass/fail.
 
@@ -14,6 +15,7 @@ use crate::behavior::TransitionTarget;
 use crate::error::SpecError;
 use crate::expr::Expr;
 use crate::ids::{BehaviorId, VarId};
+use crate::parser::MAX_NESTING;
 use crate::spec::Spec;
 use crate::stmt::{LValue, Stmt};
 use crate::visit;
@@ -107,18 +109,43 @@ fn check_hierarchy(spec: &Spec, out: &mut Vec<SpecError>) {
         if parent.contains_key(&top) {
             out.push(SpecError::TopIsChild(top));
         }
-        // Detect cycles: walk up from every behavior; the chain must
-        // terminate within behavior_count steps.
+        // Each behavior's depth (1 at a root), or `None` when its chain of
+        // parents runs into a cycle. The walk up from a behavior stops at
+        // the first ancestor of known depth, or after behavior_count steps
+        // on a cycle, so all behaviors take linear time in total and no
+        // recursion: a hierarchy deeper than the simulator can descend is
+        // reported, not overflowed.
+        let mut depth: HashMap<BehaviorId, Option<usize>> = HashMap::new();
+        let mut path = Vec::new();
+        let mut too_deep = false;
         for (id, _) in spec.behaviors() {
             let mut cur = id;
-            let mut steps = 0;
-            while let Some(&p) = parent.get(&cur) {
-                cur = p;
-                steps += 1;
-                if steps > spec.behavior_count() {
-                    out.push(SpecError::HierarchyCycle(id));
-                    break;
+            let base = loop {
+                if let Some(&d) = depth.get(&cur) {
+                    break d;
                 }
+                if path.len() > spec.behavior_count() {
+                    break None;
+                }
+                path.push(cur);
+                match parent.get(&cur) {
+                    Some(&p) => cur = p,
+                    None => break Some(0),
+                }
+            };
+            let mut d = base;
+            for &b in path.iter().rev() {
+                d = d.map(|d| d + 1);
+                depth.insert(b, d);
+            }
+            path.clear();
+            match depth[&id] {
+                None => out.push(SpecError::HierarchyCycle(id)),
+                Some(d) if d > MAX_NESTING && !too_deep => {
+                    too_deep = true;
+                    out.push(SpecError::HierarchyTooDeep(id));
+                }
+                Some(_) => {}
             }
         }
     }
@@ -364,6 +391,57 @@ mod tests {
         ));
         spec.set_top(top);
         assert!(matches!(check(&spec), Err(SpecError::SharedChild(_))));
+    }
+
+    /// A chain of single-child `seq` behaviors `levels` deep, top last.
+    fn chain(levels: usize) -> Spec {
+        let mut b = SpecBuilder::new("chain");
+        let x = b.var_int("x", 16, 0);
+        let mut cur = b.leaf("B0", vec![assign(x, lit(1))]);
+        for i in 1..levels {
+            cur = b.seq_in_order(format!("B{i}"), vec![cur]);
+        }
+        b.finish_unchecked(cur)
+    }
+
+    #[test]
+    fn hierarchy_depth_is_bounded_by_max_nesting() {
+        assert_eq!(check_all(&chain(MAX_NESTING)), vec![]);
+        // One error for the deepest chain, reported at its first member.
+        let deep = chain(MAX_NESTING + 1);
+        let b0 = deep.behavior_by_name("B0").unwrap();
+        assert_eq!(check_all(&deep), vec![SpecError::HierarchyTooDeep(b0)]);
+        assert_eq!(check_all(&chain(50_000)).len(), 1);
+    }
+
+    #[test]
+    fn hierarchy_cycles_are_reported_per_behavior() {
+        // Top -> A -> B -> C -> B: B and C lie on the cycle, D hangs off
+        // it; each is reported once, in arena order.
+        let mut spec = Spec::new("cycle");
+        let seq = |children| BehaviorKind::Seq {
+            children,
+            transitions: vec![],
+        };
+        let ids: Vec<_> = ["Top", "A", "B", "C", "D"]
+            .iter()
+            .map(|n| spec.add_behavior(Behavior::new(*n, seq(vec![]))))
+            .collect();
+        for (p, c) in [(0, 1), (2, 3), (3, 2), (3, 4)] {
+            let kids = spec.behavior(ids[p]).children().to_vec();
+            *spec.behavior_mut(ids[p]).kind_mut() = seq([kids, vec![ids[c]]].concat());
+        }
+        spec.set_top(ids[0]);
+        let cycles: Vec<_> = check_all(&spec)
+            .into_iter()
+            .filter(|e| matches!(e, SpecError::HierarchyCycle(_)))
+            .collect();
+        assert_eq!(
+            cycles,
+            [2, 3, 4]
+                .map(|i| SpecError::HierarchyCycle(ids[i]))
+                .to_vec()
+        );
     }
 
     #[test]
