@@ -63,7 +63,7 @@ pub struct StmtStep {
 /// The structural address of a statement: its owner body plus the chain
 /// of (block, index) steps from the body root. Stable for a given parsed
 /// spec, which is all a lint pass needs — analyses walk the same
-/// statement tree the resolver recorded.
+/// statement tree the parser recorded.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StmtPath {
     /// The body containing the statement.

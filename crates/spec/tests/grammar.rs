@@ -193,6 +193,26 @@ fn rejects_bad_widths_and_lengths() {
         "spec w;\nvar a : int<8>[0] = 0;\nbehavior T seq { children { } }\ntop T;\n"
     )
     .is_err());
+    // Array lengths and trip hints past `u32::MAX` are errors at the
+    // literal, not values truncated to 32 bits.
+    for (src, at) in [
+        (
+            "spec w;\nvar a : int<8>[4294967296] = 0;\nbehavior T seq { children { } }\ntop T;\n",
+            (2, 16),
+        ),
+        (
+            "spec w;\nvar a : int<8>[4294967297] = 0;\nbehavior T seq { children { } }\ntop T;\n",
+            (2, 16),
+        ),
+        (
+            "spec w;\nvar a : int<8> = 0;\nbehavior L leaf {\n  while (a < 1) @4294967297 {\n    skip;\n  }\n}\nbehavior T seq { children { L; } }\ntop T;\n",
+            (4, 18),
+        ),
+    ] {
+        let err = parser::parse(src).unwrap_err();
+        assert_eq!((err.line, err.col), at, "{err}");
+        assert!(err.message.contains("must be at most 4294967295"), "{err}");
+    }
 }
 
 #[test]
