@@ -10,13 +10,17 @@
 //! per-step cost on top of that. The bench times all three kernels on
 //! the token-ring workload (16–128 concurrent stations blocked on
 //! distinct signals — the polling worst case), and on the medical
-//! workload refined to Model4 (the realistic signal-handshake-heavy
-//! case), then records ns/step for each kernel, the speedups, the
-//! condition re-evaluations the event kernel avoided, and the compiled
-//! kernel's instruction/dispatch counts, in `BENCH_sim.json` at the
-//! repo root, with the core count and build profile. All kernels'
-//! results are asserted equal, so the numbers always describe
-//! equivalent runs.
+//! workload refined to Model3 and Model4 (the realistic
+//! signal-handshake-heavy cases), and on refined synthetic designs whose
+//! per-round work grows with the design: `SynthSpec` Model1 refinements
+//! with 64 leaves all on the processor (the `flow_synth64` shape, one
+//! bus with an arbiter over every master) and with 24 and 256 leaves
+//! split over processor and ASIC. It records ns/step for each kernel,
+//! the speedups, the condition re-evaluations the event kernel avoided,
+//! the compiled kernel's instruction/dispatch counts, and its µs and
+//! instructions per scheduler round, in `BENCH_sim.json` at the repo
+//! root, with the core count and build profile. All kernels' results
+//! are asserted equal, so the numbers always describe equivalent runs.
 
 use std::time::Instant;
 
@@ -25,9 +29,12 @@ use modref_bench::{build_profile, criterion_group, criterion_main, nproc};
 
 use modref_core::{refine, ImplModel};
 use modref_graph::AccessGraph;
+use modref_partition::{Allocation, Partition};
 use modref_sim::{SimConfig, SimKernel, SimResult, Simulator};
 use modref_spec::Spec;
-use modref_workloads::{medical_allocation, medical_partition, medical_spec, ring_spec, Design};
+use modref_workloads::{
+    medical_allocation, medical_partition, medical_spec, ring_spec, Design, SynthConfig, SynthSpec,
+};
 
 /// One workload's three-kernel measurement.
 struct Record {
@@ -50,6 +57,10 @@ struct Record {
     instrs: u64,
     /// Dispatch-loop entries (process resumes) in the compiled kernel.
     dispatches: u64,
+    /// The compiled kernel's wall time per scheduler round.
+    compiled_us_per_round: f64,
+    /// Bytecode instructions per scheduler round.
+    instrs_per_round: f64,
 }
 
 fn run(spec: &Spec, kernel: SimKernel) -> SimResult {
@@ -117,6 +128,8 @@ fn measure(name: impl Into<String>, spec: &Spec, reps: u32) -> Record {
         rounds: ev.sched.rounds,
         instrs: co.sched.instrs,
         dispatches: co.sched.dispatches,
+        compiled_us_per_round: co_ns * co.steps as f64 / co.sched.rounds as f64 / 1e3,
+        instrs_per_round: co.sched.instrs as f64 / co.sched.rounds as f64,
     }
 }
 
@@ -128,7 +141,7 @@ fn json(records: &[Record]) -> String {
     );
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\n      \"name\": \"{}\",\n      \"concurrent_leaves\": {},\n      \"steps\": {},\n      \"roundrobin_ns_per_step\": {:.1},\n      \"event_ns_per_step\": {:.1},\n      \"compiled_ns_per_step\": {:.1},\n      \"speedup\": {:.2},\n      \"compiled_speedup\": {:.2},\n      \"roundrobin_cond_evals\": {},\n      \"event_cond_evals\": {},\n      \"cond_evals_avoided\": {},\n      \"wakeups\": {},\n      \"rounds\": {},\n      \"instrs\": {},\n      \"dispatches\": {}\n    }}{}\n",
+            "    {{\n      \"name\": \"{}\",\n      \"concurrent_leaves\": {},\n      \"steps\": {},\n      \"roundrobin_ns_per_step\": {:.1},\n      \"event_ns_per_step\": {:.1},\n      \"compiled_ns_per_step\": {:.1},\n      \"speedup\": {:.2},\n      \"compiled_speedup\": {:.2},\n      \"roundrobin_cond_evals\": {},\n      \"event_cond_evals\": {},\n      \"cond_evals_avoided\": {},\n      \"wakeups\": {},\n      \"rounds\": {},\n      \"instrs\": {},\n      \"dispatches\": {},\n      \"compiled_us_per_round\": {:.3},\n      \"instrs_per_round\": {:.1}\n    }}{}\n",
             r.name,
             r.concurrent_leaves,
             r.steps,
@@ -144,6 +157,8 @@ fn json(records: &[Record]) -> String {
             r.rounds,
             r.instrs,
             r.dispatches,
+            r.compiled_us_per_round,
+            r.instrs_per_round,
             if i + 1 == records.len() { "" } else { "," }
         ));
     }
@@ -151,16 +166,47 @@ fn json(records: &[Record]) -> String {
     out
 }
 
-/// The medical workload refined to Model4 — arbiters, bus interfaces
+/// The medical workload refined to `model` — arbiters, bus interfaces
 /// and protocol servers make it the realistic concurrent case.
-fn medical_model4() -> Spec {
+fn medical_refined(model: ImplModel) -> Spec {
     let spec = medical_spec();
     let graph = AccessGraph::derive(&spec);
     let alloc = medical_allocation();
     let part = medical_partition(&spec, &alloc, Design::Design1);
-    refine(&spec, &graph, &alloc, &part, ImplModel::Model4)
+    refine(&spec, &graph, &alloc, &part, model)
         .expect("medical refines")
         .spec
+}
+
+/// A `SynthSpec` of `leaves` leaves (generation seed 0, the
+/// `flow_synth64` shape: as many variables, 6 statements per leaf,
+/// fanout 3, 30% loops) refined to Model1, with every leaf on the
+/// processor or split over processor and ASIC by
+/// [`SynthSpec::partition`] (salt 0).
+fn synth_model1(leaves: usize, split: bool) -> Spec {
+    let config = SynthConfig {
+        leaves,
+        vars: leaves,
+        stmts_per_leaf: 6,
+        fanout: 3,
+        loop_percent: 30,
+    };
+    let synth = SynthSpec::generate(0, &config);
+    let alloc = Allocation::proc_plus_asic();
+    let part = if split {
+        synth.partition(&alloc, 0)
+    } else {
+        Partition::with_default(alloc.ids()[0])
+    };
+    refine(
+        &synth.spec,
+        &synth.graph(),
+        &alloc,
+        &part,
+        ImplModel::Model1,
+    )
+    .expect("synthetic design refines")
+    .spec
 }
 
 fn bench_sim_kernel(c: &mut Criterion) {
@@ -168,7 +214,11 @@ fn bench_sim_kernel(c: &mut Criterion) {
     let ring32 = ring_spec(32, 128);
     let ring64 = ring_spec(64, 96);
     let ring128 = ring_spec(128, 64);
-    let medical4 = medical_model4();
+    let medical3 = medical_refined(ImplModel::Model3);
+    let medical4 = medical_refined(ImplModel::Model4);
+    let synth64 = synth_model1(64, false);
+    let synth24_split = synth_model1(24, true);
+    let synth256_split = synth_model1(256, true);
 
     // The harness-timed view (respects MODREF_BENCH_MS) — the CI smoke
     // step runs exactly this with a tiny budget.
@@ -187,12 +237,17 @@ fn bench_sim_kernel(c: &mut Criterion) {
         measure("ring64", &ring64, 7),
         measure("ring128", &ring128, 7),
         measure("medical_model4", &medical4, 7),
+        measure("medical_model3", &medical3, 7),
+        measure("synth64_model1", &synth64, 7),
+        measure("synth24_split_model1", &synth24_split, 7),
+        measure("synth256_split_model1", &synth256_split, 3),
     ];
     for r in &records {
         eprintln!(
             "{:<16} {:>2} leaves, {:>7} steps: roundrobin {:>8.1} ns/step, event {:>7.1} ns/step \
              ({:>5.1}x), compiled {:>6.1} ns/step ({:>4.1}x over event); \
-             cond re-evals {} -> {} ({} avoided); {} instrs / {} dispatches",
+             cond re-evals {} -> {} ({} avoided); {} instrs / {} dispatches; \
+             {:.3} us and {:.1} instrs per round",
             r.name,
             r.concurrent_leaves,
             r.steps,
@@ -206,6 +261,8 @@ fn bench_sim_kernel(c: &mut Criterion) {
             r.cond_evals_avoided,
             r.instrs,
             r.dispatches,
+            r.compiled_us_per_round,
+            r.instrs_per_round,
         );
     }
 

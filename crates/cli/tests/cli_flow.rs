@@ -456,6 +456,38 @@ fn hostile_nesting_is_a_parse_error_not_a_crash() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn hostile_oversized_array_is_a_sim_error_not_an_abort() {
+    let dir = tmpdir("huge_array");
+    fs::write(
+        dir.join("huge.spec"),
+        "spec huge;\nvar a : int<8>[4294967295] = 1;\n\
+         behavior Top leaf {\n  a[0] := 2;\n}\ntop Top;\n",
+    )
+    .expect("write spec");
+    let run = |cmd: &str| {
+        Command::new(modref_bin())
+            .args([cmd, "huge.spec"])
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs")
+    };
+    let check = run("check");
+    assert!(
+        check.status.success(),
+        "{}",
+        String::from_utf8_lossy(&check.stderr)
+    );
+    let out = run("simulate");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("simulation failed: variable `a` takes the spec past 4194304 elements"),
+        "{stderr}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// A spec whose top `B{levels-1}` heads a chain of single-child `seq`
 /// behaviors `levels` deep, ending in leaf `B0`.
 fn chain_spec(levels: usize) -> String {

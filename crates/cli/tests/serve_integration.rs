@@ -537,6 +537,43 @@ fn hostile_deep_json_line_is_invalid_and_the_session_continues() {
 }
 
 #[test]
+fn hostile_oversized_array_fails_verify_and_the_session_continues() {
+    // `verify` is the serve op that runs the simulator, in the server
+    // process: 32 GiB of array storage must be refused, not allocated.
+    let spec = "spec huge;\nvar a : int<8>[4294967295] = 1;\n\
+                behavior Top leaf {\n  a[0] := 2;\n}\ntop Top;\n";
+    let input = format!(
+        "{{\"v\":2,\"id\":1,\"op\":\"verify\",\"seeds\":1,\"spec\":{}}}\n\
+         {{\"v\":2,\"id\":2,\"op\":\"parse\",\"workload\":\"fig2\"}}\n",
+        json_str(spec)
+    );
+    let responses = exchange(input);
+    match &answer(&responses, 1).body {
+        ResponseBody::Verified {
+            equivalent,
+            records,
+            ..
+        } => {
+            assert!(!equivalent);
+            assert!(!records.is_empty());
+            for r in records {
+                assert!(!r.equivalent);
+                assert!(
+                    r.detail
+                        .contains("original simulation failed: variable `a` takes the spec past"),
+                    "{r:?}"
+                );
+            }
+        }
+        other => panic!("expected a verify answer, got {other:?}"),
+    }
+    assert!(matches!(
+        answer(&responses, 2).body,
+        ResponseBody::Parsed(_)
+    ));
+}
+
+#[test]
 fn hostile_constant_overflows_parse_ok() {
     // `MIN / -1` in a `for` bound, and `for` bounds whose difference
     // overflows `i64`: constant folding must answer, not panic.

@@ -445,7 +445,7 @@ impl RefinePlan {
                 let mem = &mut memories[m];
                 mem.vars.push(v);
                 mem.words += u64::from(var.ty().element_count());
-                mem.bits += u64::from(var.ty().bit_width());
+                mem.bits += var.ty().bit_width();
             }
         }
 

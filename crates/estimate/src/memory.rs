@@ -10,7 +10,7 @@ use modref_spec::{Spec, VarId};
 /// Size in bits of a memory holding the given variables.
 pub fn memory_bits(spec: &Spec, vars: &[VarId]) -> u64 {
     vars.iter()
-        .map(|&v| u64::from(spec.variable(v).ty().bit_width()))
+        .map(|&v| spec.variable(v).ty().bit_width())
         .sum()
 }
 

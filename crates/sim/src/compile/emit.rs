@@ -20,6 +20,7 @@ pub(crate) fn emit(lowered: Lowered) -> CompiledSpec {
         mut code,
         labels,
         pool,
+        terms,
         names,
         waits,
         mut fors,
@@ -57,6 +58,7 @@ pub(crate) fn emit(lowered: Lowered) -> CompiledSpec {
     CompiledSpec {
         code,
         pool,
+        terms,
         names,
         waits,
         fors,

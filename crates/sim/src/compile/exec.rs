@@ -89,6 +89,10 @@ impl<'a> Executor<'a> for Bytecode<'a> {
     /// completes. Each executed instruction is one micro-step, counted
     /// and limited exactly like the interpreter's statement steps.
     ///
+    /// With `woken`, the pc rests on the `WaitUntil` whose condition
+    /// `eval_site` just found true with nothing written since: that
+    /// instruction passes as one counted step without evaluating again.
+    ///
     /// `#[inline]` (here and on `eval_site`) lets the generic scheduler,
     /// which lives in another module, inline the dispatch loop.
     #[inline]
@@ -99,8 +103,20 @@ impl<'a> Executor<'a> for Bytecode<'a> {
         now: u64,
         steps: &mut u64,
         max_steps: u64,
+        woken: bool,
     ) -> Result<Yield<'a>, SimError> {
         let (prog, spec, stack) = (self.prog, self.spec, &mut self.stack);
+        if woken {
+            debug_assert!(matches!(
+                prog.code[proc.pc as usize],
+                Instr::WaitUntil { .. }
+            ));
+            *steps += 1;
+            if *steps > max_steps {
+                return Err(SimError::StepLimitExceeded { limit: max_steps });
+            }
+            proc.pc += 1;
+        }
         loop {
             *steps += 1;
             if *steps > max_steps {
@@ -342,23 +358,24 @@ fn eval(
     stack: &mut Vec<i64>,
     r: ExprRef,
 ) -> Result<i64, SimError> {
-    let ops = &prog.pool[r.off as usize..(r.off + r.len) as usize];
-    // Leaf expressions (the common case after folding) skip the stack,
-    // as does the next most common shape: one binary operator over two
-    // leaf operands (`sig == 1`, `count + 1`, ...).
-    match ops {
-        [op] => leaf(prog, calls, params, state, op),
-        [l, r, EOp::Bin(op)] if !pops(l) && !pops(r) => {
-            let lv = leaf(prog, calls, params, state, l)?;
-            let rv = leaf(prog, calls, params, state, r)?;
-            Ok(op.eval(lv, rv))
+    // Single operands (the common case after folding and fusion: `sig ==
+    // 1`, `x < n`, a whole `||` chain) skip the stack, as does the next
+    // most common shape: one binary operator over two operands.
+    match r.ops(&prog.pool) {
+        [op] => operand(prog, spec, calls, params, state, stack, op),
+        [a, b, EOp::Bin(op)] if !pops(a) && !pops(b) => {
+            let l = operand(prog, spec, calls, params, state, stack, a)?;
+            let r = operand(prog, spec, calls, params, state, stack, b)?;
+            Ok(op.eval(l, r))
         }
-        _ => eval_stack(prog, spec, calls, params, state, stack, ops),
+        ops => eval_stack(prog, spec, calls, params, state, stack, ops),
     }
 }
 
 /// Evaluates a postfix expression over the shared value stack: the
-/// general case of [`eval`], kept out of line.
+/// general case of [`eval`], kept out of line. It works above the
+/// stack's current height, so a chain term evaluated in the middle of
+/// an enclosing expression leaves that expression's operands in place.
 fn eval_stack(
     prog: &CompiledSpec,
     spec: &Spec,
@@ -368,7 +385,6 @@ fn eval_stack(
     stack: &mut Vec<i64>,
     ops: &[EOp],
 ) -> Result<i64, SimError> {
-    stack.clear();
     for op in ops {
         let v = match op {
             EOp::Elem(slot) => {
@@ -381,7 +397,7 @@ fn eval_stack(
                 let l = stack.pop().unwrap_or(0);
                 op.eval(l, r)
             }
-            leaf_op => leaf(prog, calls, params, state, leaf_op)?,
+            op => operand(prog, spec, calls, params, state, stack, op)?,
         };
         stack.push(v);
     }
@@ -396,24 +412,65 @@ fn pops(op: &EOp) -> bool {
 
 /// Evaluates a non-popping (operand) op.
 #[inline]
-fn leaf(
+fn operand(
     prog: &CompiledSpec,
+    spec: &Spec,
     calls: &[CallRec],
     params: &[i64],
     state: &SharedState,
+    stack: &mut Vec<i64>,
     op: &EOp,
 ) -> Result<i64, SimError> {
-    Ok(match op {
-        EOp::Const(v) => *v,
-        EOp::Var(slot) => match &state.vars[*slot as usize] {
-            Storage::Scalar(x) => *x,
-            Storage::Array(_) => 0, // validator rejects; defensive
-        },
-        EOp::Sig(slot) => state.signals[*slot as usize],
-        EOp::Param { slot, name } => read_param(prog, calls, params, *slot, *name)?,
-        EOp::ParamErr { name } => return Err(unbound(prog, *name)),
-        EOp::Elem(_) | EOp::Un(_) | EOp::Bin(_) => unreachable!("popping op as leaf"),
+    Ok(match *op {
+        EOp::Const(v) => v,
+        EOp::Var(slot) => read_var(state, slot),
+        EOp::Sig(slot) => state.signals[slot as usize],
+        EOp::SigC { slot, op, k } => op.eval(state.signals[slot as usize], k),
+        EOp::VarC { slot, op, k } => op.eval(read_var(state, slot), k),
+        EOp::Param { slot, name } => read_param(prog, calls, params, slot, name)?,
+        EOp::ParamErr { name } => return Err(unbound(prog, name)),
+        EOp::Any { off, len } => {
+            eval_chain(prog, spec, calls, params, state, stack, off, len, true)?
+        }
+        EOp::All { off, len } => {
+            eval_chain(prog, spec, calls, params, state, stack, off, len, false)?
+        }
+        EOp::Elem(_) | EOp::Un(_) | EOp::Bin(_) => unreachable!("popping op as operand"),
     })
+}
+
+/// Evaluates a short-circuit chain: `any` for `||` (stop at the first
+/// non-zero term), else `&&` (stop at the first zero term). Lowering
+/// only lets terms that cannot fault follow the first, so skipping them
+/// hides no error the interpreter would raise.
+#[allow(clippy::too_many_arguments)]
+fn eval_chain(
+    prog: &CompiledSpec,
+    spec: &Spec,
+    calls: &[CallRec],
+    params: &[i64],
+    state: &SharedState,
+    stack: &mut Vec<i64>,
+    off: u32,
+    len: u32,
+    any: bool,
+) -> Result<i64, SimError> {
+    for &term in &prog.terms[off as usize..(off + len) as usize] {
+        if (eval(prog, spec, calls, params, state, stack, term)? != 0) == any {
+            return Ok(i64::from(any));
+        }
+    }
+    Ok(i64::from(!any))
+}
+
+/// Reads a scalar variable (array storage reads 0: the validator rejects
+/// unindexed array reads; defensive).
+#[inline]
+fn read_var(state: &SharedState, slot: u32) -> i64 {
+    match &state.vars[slot as usize] {
+        Storage::Scalar(x) => *x,
+        Storage::Array(_) => 0,
+    }
 }
 
 /// Reads one element of an array variable (scalar storage reads the

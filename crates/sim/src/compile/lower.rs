@@ -5,7 +5,9 @@
 //! indirection. Those are emitted as label ids in the instructions' pc
 //! fields and patched to absolute addresses by [`super::emit`]. Expression
 //! trees linearize to postfix over the shared operation pool, with
-//! literal subtrees folded as they are pushed (see [`super::optimize`]).
+//! literal subtrees folded, comparisons against literals fused and
+//! `||`/`&&` runs flattened into short-circuit chains as they are pushed
+//! (see [`super::optimize`]).
 //!
 //! Every lowering rule preserves the interpreter's micro-step count; the
 //! per-construct layouts are documented inline where they are emitted.
@@ -13,7 +15,9 @@
 use std::collections::HashMap;
 
 use modref_spec::stmt::CallArg;
-use modref_spec::{BehaviorKind, Expr, LValue, Spec, Stmt, Subroutine, TransitionTarget, WaitCond};
+use modref_spec::{
+    BehaviorKind, BinOp, Expr, LValue, Spec, Stmt, Subroutine, TransitionTarget, WaitCond,
+};
 
 use super::optimize;
 use super::{
@@ -33,6 +37,7 @@ pub(crate) struct Lowered {
     /// Label id → bound address (`Pc::MAX` = never bound; emit panics).
     pub labels: Vec<Pc>,
     pub pool: Vec<EOp>,
+    pub terms: Vec<ExprRef>,
     pub names: Vec<String>,
     pub waits: Vec<WaitSite>,
     pub fors: Vec<ForSite>,
@@ -51,6 +56,7 @@ pub(crate) fn lower(spec: &Spec) -> Lowered {
             code: Vec::new(),
             labels: Vec::new(),
             pool: Vec::new(),
+            terms: Vec::new(),
             names: Vec::new(),
             waits: Vec::new(),
             fors: Vec::new(),
@@ -460,11 +466,37 @@ impl<'a> Lowerer<'a> {
                 self.push_expr(buf, inner, sub);
                 optimize::push_un(buf, *op);
             }
+            Expr::Binary(op @ (BinOp::Or | BinOp::And), ..) => {
+                let mut chain = Vec::new();
+                flatten(*op, e, &mut chain);
+                let operands = chain
+                    .into_iter()
+                    .map(|term| {
+                        let mut t = Vec::new();
+                        self.push_expr(&mut t, term, sub);
+                        t
+                    })
+                    .collect();
+                let out = &mut self.out;
+                optimize::push_logic(&mut out.pool, &mut out.terms, buf, *op, operands);
+            }
             Expr::Binary(op, l, r) => {
                 self.push_expr(buf, l, sub);
                 self.push_expr(buf, r, sub);
                 optimize::push_bin(buf, *op);
             }
         }
+    }
+}
+
+/// Collects the terms of the `op` chain rooted at `e`, in source order:
+/// `a || (b || c)` and `(a || b) || c` both give `[a, b, c]`.
+fn flatten<'e>(op: BinOp, e: &'e Expr, out: &mut Vec<&'e Expr>) {
+    match e {
+        Expr::Binary(o, l, r) if *o == op => {
+            flatten(op, l, out);
+            flatten(op, r, out);
+        }
+        _ => out.push(e),
     }
 }

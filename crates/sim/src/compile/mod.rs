@@ -15,8 +15,9 @@
 //!    time, and pre-derive each wait-site's sensitivity list.
 //! 2. **optimize** (`optimize`) — constant-fold literal subtrees during
 //!    linearization (using the same [`BinOp::eval`](modref_spec::BinOp::eval)
-//!    as the runtime) and rewrite branches on folded conditions. Every rewrite
-//!    preserves the interpreter's micro-step count exactly.
+//!    as the runtime), fuse operators into cheap operands (below) and
+//!    rewrite branches on folded conditions. Every rewrite preserves the
+//!    interpreter's micro-step count exactly.
 //! 3. **emit** (`emit`) — resolve labels to absolute program counters
 //!    and assemble the final [`CompiledSpec`].
 //!
@@ -38,6 +39,33 @@
 //! `JumpIfZero`/`Return`/`Transition`), so the three kernels stay
 //! step-for-step comparable and the equivalence suite can assert full
 //! [`SimResult`](crate::SimResult) equality.
+//!
+//! ## Cheap conditions
+//!
+//! Refined designs spend most of their evaluation on conditions: an
+//! arbiter's grant wait is an `||` over one `req == 1` test per master,
+//! and a memory port tests its address against every word it stores.
+//! Two lowering rules keep such conditions off the value stack, so a
+//! wait, `if` or `while` test usually evaluates as one operand:
+//!
+//! - **Fused comparisons.** `sig op k` and `var op k` (a signal or scalar
+//!   variable against a literal, any binary operator) lower to one
+//!   non-popping op, `EOp::SigC` or `EOp::VarC`.
+//! - **Short-circuit chains.** A run of the same logical operator,
+//!   `a || b || c` in any nesting, flattens into one operand,
+//!   `EOp::Any` or `EOp::All`, over a slice of the program's term
+//!   table; it stops at the first term that decides the result. A
+//!   chain is a single op in the postfix pool, so folding and
+//!   fusion, which read a subtree's last op as its root, still see
+//!   `(p || q || s) == 1` as an operand compared with a literal.
+//!
+//! The interpreter evaluates both sides of `||` and `&&`, so skipping a
+//! term is only sound when the term cannot fault. An array index (`Elem`,
+//! out of bounds) or a parameter read (`Param`, `ParamErr`, unbound) may
+//! fault: such a term is never skipped. It joins the chain with a plain
+//! binary `||`/`&&`, and the terms after it form a new chain whose first,
+//! always-evaluated term is everything before. Errors therefore surface
+//! exactly as, and in the order, the interpreter raises them.
 
 pub(crate) mod emit;
 pub(crate) mod exec;
@@ -57,6 +85,14 @@ pub(crate) type Pc = u32;
 pub(crate) struct ExprRef {
     pub off: u32,
     pub len: u32,
+}
+
+impl ExprRef {
+    /// The ops this reference names in `pool`.
+    #[inline]
+    pub(crate) fn ops(self, pool: &[EOp]) -> &[EOp] {
+        &pool[self.off as usize..(self.off + self.len) as usize]
+    }
 }
 
 /// One postfix expression operation, evaluated over a shared value stack.
@@ -82,6 +118,18 @@ pub(crate) enum EOp {
     Un(UnOp),
     /// Pop right then left, push the binary result.
     Bin(BinOp),
+    /// `Sig(slot) op k`: a binary operator whose operands were the signal
+    /// in `slot` and the literal `k`, fused into one operand.
+    SigC { slot: u32, op: BinOp, k: i64 },
+    /// `Var(slot) op k`: the scalar-variable form of `EOp::SigC`.
+    VarC { slot: u32, op: BinOp, k: i64 },
+    /// A flattened `||` chain over the terms
+    /// [`CompiledSpec::terms`]`[off .. off + len]`: pushes 1 at the first
+    /// non-zero term without evaluating the rest, else 0. One operand.
+    Any { off: u32, len: u32 },
+    /// A flattened `&&` chain: pushes 0 at the first zero term without
+    /// evaluating the rest, else 1. One operand.
+    All { off: u32, len: u32 },
 }
 
 /// One instruction. Each executed instruction is exactly one simulation
@@ -246,6 +294,9 @@ pub(crate) struct TransSite {
 pub struct CompiledSpec {
     pub(crate) code: Vec<Instr>,
     pub(crate) pool: Vec<EOp>,
+    /// The terms of every `EOp::Any`/`EOp::All` chain, each a slice
+    /// of `pool`.
+    pub(crate) terms: Vec<ExprRef>,
     /// Interned parameter names, referenced by error-reporting ops.
     pub(crate) names: Vec<String>,
     pub(crate) waits: Vec<WaitSite>,

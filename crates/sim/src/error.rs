@@ -32,6 +32,15 @@ pub enum SimError {
     /// A parameter name was referenced outside any subroutine call frame
     /// or does not exist in the enclosing frame.
     UnboundParam(String),
+    /// The variables hold more elements in total than the simulator
+    /// allocates ([`MAX_ELEMENTS`](crate::process::MAX_ELEMENTS)); the
+    /// run is refused before any storage is allocated.
+    StorageLimit {
+        /// The variable whose storage crosses the limit.
+        var: String,
+        /// The limit on the total element count.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -47,6 +56,11 @@ impl fmt::Display for SimError {
                 write!(f, "index {index} out of bounds for `{var}` (len {len})")
             }
             SimError::UnboundParam(name) => write!(f, "unbound parameter `${name}`"),
+            SimError::StorageLimit { var, limit } => write!(
+                f,
+                "variable `{var}` takes the spec past {limit} elements, \
+                 the most the simulator allocates"
+            ),
         }
     }
 }

@@ -52,6 +52,33 @@ pub(crate) struct SharedState {
     pub(crate) trace: Option<Box<TraceSink>>,
 }
 
+/// The most variable elements (a scalar is one, an array one per entry)
+/// a simulated specification may hold in total. Storage is allocated up
+/// front, so the simulator checks the bound before it builds any state:
+/// a spec declaring more is refused with [`SimError::StorageLimit`]
+/// instead of exhausting memory.
+pub const MAX_ELEMENTS: u64 = 1 << 22;
+
+/// Checks that `spec`'s variables hold at most [`MAX_ELEMENTS`] elements
+/// in total, naming the variable that crosses the bound.
+///
+/// # Errors
+///
+/// [`SimError::StorageLimit`] past the bound.
+pub(crate) fn check_storage(spec: &Spec) -> Result<(), SimError> {
+    let mut total: u64 = 0;
+    for (_, v) in spec.variables() {
+        total += u64::from(v.ty().element_count());
+        if total > MAX_ELEMENTS {
+            return Err(SimError::StorageLimit {
+                var: v.name().to_string(),
+                limit: MAX_ELEMENTS,
+            });
+        }
+    }
+    Ok(())
+}
+
 impl SharedState {
     pub(crate) fn init(spec: &Spec) -> Self {
         let vars: Vec<Storage> = spec
@@ -730,6 +757,9 @@ impl<'a> Executor<'a> for Interpreter<'a> {
         Process::new(self.spec, behavior)
     }
 
+    /// Ignores `woken`: the interpreter is the reference the compiled
+    /// kernel is checked against, so it re-evaluates every wait it
+    /// resumes at (the value and the step count are the same).
     fn run(
         &mut self,
         proc: &mut Process<'a>,
@@ -737,6 +767,7 @@ impl<'a> Executor<'a> for Interpreter<'a> {
         now: u64,
         steps: &mut u64,
         max_steps: u64,
+        _woken: bool,
     ) -> Result<Yield<'a>, SimError> {
         loop {
             *steps += 1;
@@ -791,6 +822,37 @@ mod tests {
         let p = Process::new(&spec, spec.top());
         let e = expr::add(expr::var(x), expr::lit(4));
         assert_eq!(p.eval(&spec, &state, &e).unwrap(), 7);
+    }
+
+    #[test]
+    fn hostile_storage_is_bounded_before_allocation() {
+        use modref_spec::types::{DataType, ScalarType};
+        let spec_with = |lens: &[u32]| {
+            let mut b = SpecBuilder::new("big");
+            for (i, &len) in lens.iter().enumerate() {
+                b.var(format!("a{i}"), DataType::array(ScalarType::Int(8), len), 1);
+            }
+            let a = b.leaf("A", vec![stmt::skip()]);
+            let top = b.seq_in_order("Top", vec![a]);
+            b.finish(top).expect("valid")
+        };
+        // 32 GiB of elements: refused before anything is allocated.
+        let err = check_storage(&spec_with(&[u32::MAX])).expect_err("over the bound");
+        assert_eq!(
+            err,
+            SimError::StorageLimit {
+                var: "a0".into(),
+                limit: MAX_ELEMENTS,
+            }
+        );
+        // The bound is on the total, and names the variable crossing it.
+        let half = (MAX_ELEMENTS / 2) as u32;
+        let err = check_storage(&spec_with(&[half, half, 1])).expect_err("over the bound");
+        assert!(matches!(err, SimError::StorageLimit { var, .. } if var == "a2"));
+        // Exactly at the bound is allowed, and allocates.
+        let spec = spec_with(&[half, half]);
+        assert_eq!(check_storage(&spec), Ok(()));
+        assert_eq!(SharedState::init(&spec).vars.len(), 2);
     }
 
     #[test]

@@ -27,6 +27,17 @@
 //!   - [`SimKernel::EventDriven`] micro-steps the tree-walking
 //!     [`process`](crate::process) interpreter.
 //!
+//! A process woken because its `wait until` condition evaluated true
+//! resumes *at* that wait, which re-executes. When nothing has been
+//! written since the wake phase evaluated the condition (the state's
+//! write count, `var_writes + signal_writes`, is unchanged when the
+//! process is dispatched), the value cannot have changed, and the
+//! compiled executor passes the wait without evaluating it again. The
+//! step is still counted and the step limit still checked, so counters
+//! and verdicts match the interpreter, which always re-evaluates. A write
+//! by an earlier process in the round makes the wait re-evaluate, and
+//! block again if the condition turned false.
+//!
 //! Waiter lists hold `(process, wait site)` pairs. Each pair is
 //! registered once for the whole run and validated at scan time: an entry
 //! is live iff its process still waits at that site, so re-blocking on a
@@ -148,7 +159,11 @@ pub(crate) trait Executor<'a> {
     /// Starts a process executing `behavior`.
     fn spawn(&mut self, behavior: BehaviorId) -> Self::Proc;
     /// Runs `proc` until it stops, counting every micro-step in `steps`
-    /// and failing past `max_steps`.
+    /// and failing past `max_steps`. `woken` says that `proc` is blocked
+    /// at a `wait until` whose condition [`Executor::eval_site`] found
+    /// true, and that nothing was written since: the executor may pass
+    /// the wait (still one counted step) without evaluating it again.
+    /// The interpreter ignores the hint and re-evaluates.
     fn run(
         &mut self,
         proc: &mut Self::Proc,
@@ -156,6 +171,7 @@ pub(crate) trait Executor<'a> {
         now: u64,
         steps: &mut u64,
         max_steps: u64,
+        woken: bool,
     ) -> Result<Yield<'a>, SimError>;
     /// Evaluates the condition of `site`, where `proc` is blocked.
     fn eval_site(
@@ -201,6 +217,9 @@ struct Task<P> {
     /// Whether the process is queued for a condition re-check this
     /// round (dedups a process sensitive to several written slots).
     queued: bool,
+    /// Whether the wake phase made the process ready because its `wait
+    /// until` condition evaluated true; cleared when it next runs.
+    woken_true: bool,
 }
 
 impl<P> Task<P> {
@@ -215,6 +234,7 @@ impl<P> Task<P> {
             pending: 0,
             registered: Vec::new(),
             queued: false,
+            woken_true: false,
         }
     }
 }
@@ -291,6 +311,12 @@ fn run_events<'a, E: Executor<'a>>(
         // pid order (children spawn with larger pids, so appending
         // preserves the order the round-robin kernel uses). A process
         // woken and then killed in the same round stays dead.
+        //
+        // Nothing writes between the wake phase and here, so a process
+        // its condition woke that runs before any write this round would
+        // find that condition true again: it resumes without evaluating
+        // it. After a write the wait re-evaluates as usual.
+        let wake_writes = state.var_writes + state.signal_writes;
         let mut i = 0;
         while i < ready.len() {
             let pid = ready[i];
@@ -300,12 +326,15 @@ fn run_events<'a, E: Executor<'a>>(
                 continue;
             }
             dispatches += 1;
+            let woken = std::mem::take(&mut task.woken_true)
+                && state.var_writes + state.signal_writes == wake_writes;
             match exec.run(
                 &mut task.exec,
                 &mut state,
                 now,
                 &mut steps,
                 config.max_steps,
+                woken,
             )? {
                 Yield::Wait(site) => {
                     task.status = Wait::Until(site);
@@ -378,6 +407,7 @@ fn run_events<'a, E: Executor<'a>>(
                 if exec.eval_site(&task.exec, site, &state)? {
                     meter.inc(SLOT_WAKEUPS);
                     task.status = Wait::Ready;
+                    task.woken_true = true;
                     woken.push(pid);
                 }
             }
@@ -491,10 +521,14 @@ impl<'a> Simulator<'a> {
     ///
     /// * [`SimError::StepLimitExceeded`] on zero-time livelock,
     /// * [`SimError::Deadlock`] when all live processes block forever,
-    /// * evaluation errors (out-of-bounds indices, unbound parameters).
+    /// * evaluation errors (out-of-bounds indices, unbound parameters),
+    /// * [`SimError::StorageLimit`] before anything is allocated, when
+    ///   the variables would hold more than
+    ///   [`MAX_ELEMENTS`](crate::process::MAX_ELEMENTS) elements.
     pub fn run(&self) -> Result<SimResult, SimError> {
         let _span = modref_obs::span("sim.run").attr("kernel", self.config.kernel.name());
         let spec = self.spec;
+        crate::process::check_storage(spec)?;
         match self.config.kernel {
             SimKernel::Compiled => {
                 let program = crate::compile::compile(spec);

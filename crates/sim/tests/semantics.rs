@@ -1,12 +1,12 @@
 //! Semantic tests for the simulator: sequencing, transitions, loops,
 //! concurrency, signal handshakes, subroutine calls, and error paths.
 
-use modref_sim::{SimConfig, SimError, Simulator};
+use modref_sim::{SimConfig, SimError, SimKernel, SimResult, Simulator};
 use modref_spec::builder::SpecBuilder;
 use modref_spec::stmt::CallArg;
 use modref_spec::subroutine::{param_in, param_out, Subroutine};
 use modref_spec::types::{DataType, ScalarType};
-use modref_spec::{expr, stmt, LValue};
+use modref_spec::{expr, stmt, LValue, Spec};
 
 #[test]
 fn sequential_children_run_in_order() {
@@ -355,4 +355,226 @@ fn fixed_width_wrapping_matches_hardware() {
     let spec = b.finish(top).unwrap();
     let r = Simulator::new(&spec).run().unwrap();
     assert_eq!(r.var_by_name("x"), Some(4));
+}
+
+/// Runs `spec` under all three kernels with `max_steps`, asserts that
+/// they agree (equal results and scheduler work, or equal errors) and
+/// returns the compiled kernel's outcome.
+fn run_three(spec: &Spec, max_steps: u64) -> Result<SimResult, SimError> {
+    let run = |kernel| {
+        Simulator::with_config(
+            spec,
+            SimConfig {
+                max_steps,
+                kernel,
+                ..SimConfig::default()
+            },
+        )
+        .run()
+    };
+    let compiled = run(SimKernel::Compiled);
+    let event = run(SimKernel::EventDriven);
+    let reference = run(SimKernel::RoundRobin);
+    match (&compiled, &event, &reference) {
+        (Ok(c), Ok(e), Ok(r)) => {
+            assert_eq!(e, r, "event vs reference");
+            assert_eq!(c, e, "compiled vs event");
+            let (cs, es) = (&c.sched, &e.sched);
+            assert_eq!(
+                (cs.rounds, cs.cond_evals, cs.wakeups, cs.timer_pops),
+                (es.rounds, es.cond_evals, es.wakeups, es.timer_pops),
+                "compiled vs event work"
+            );
+            assert_eq!((es.rounds, es.wakeups), (r.sched.rounds, r.sched.wakeups));
+            assert_eq!(cs.instrs, c.steps, "one instruction per step");
+        }
+        _ => {
+            assert_eq!(event, reference, "event vs reference verdicts");
+            assert_eq!(compiled, event, "compiled vs event verdicts");
+        }
+    }
+    compiled
+}
+
+/// A process whose wait condition came true must still re-check it when
+/// a lower-pid process, woken in the same round, clears the signal first.
+#[test]
+fn woken_wait_reblocks_after_an_earlier_write_in_the_round() {
+    let mut b = SpecBuilder::new("resume");
+    let go = b.signal_bit("go");
+    let phase = b.var_int("phase", 16, 0);
+    let seen = b.var_int("seen", 16, 0);
+    let cleared = b.var_int("cleared", 16, 0);
+    let go_is_set = || expr::eq(expr::signal(go), expr::lit(1));
+    // Lowest pid: consumes the first `go` and clears it.
+    let clearer = b.leaf(
+        "Clearer",
+        vec![
+            stmt::wait_until(go_is_set()),
+            stmt::set_signal(go, expr::lit(0)),
+            stmt::assign(cleared, expr::var(phase)),
+        ],
+    );
+    // Woken by the same `go`, but runs after the clear: must block again
+    // and pass only on the second `go`.
+    let waiter = b.leaf(
+        "Waiter",
+        vec![
+            stmt::wait_until(go_is_set()),
+            stmt::assign(seen, expr::var(phase)),
+        ],
+    );
+    let setter = b.leaf(
+        "Setter",
+        vec![
+            stmt::delay(1),
+            stmt::assign(phase, expr::lit(1)),
+            stmt::set_signal(go, expr::lit(1)),
+            stmt::delay(1),
+            stmt::assign(phase, expr::lit(2)),
+            stmt::set_signal(go, expr::lit(1)),
+        ],
+    );
+    let top = b.concurrent("Top", vec![clearer, waiter, setter]);
+    let spec = b.finish(top).unwrap();
+    let r = run_three(&spec, 10_000).expect("completes");
+    assert_eq!(r.var_by_name("cleared"), Some(1));
+    assert_eq!(
+        r.var_by_name("seen"),
+        Some(2),
+        "waiter passed a cleared `go`"
+    );
+    // Both wake on the first `go`, the waiter again on the second.
+    assert_eq!(r.sched.wakeups, 3);
+}
+
+/// A resumed wait is one counted step: every step budget trips at the
+/// same step under every kernel, including the budgets that end exactly
+/// on a resumed `wait until`.
+#[test]
+fn resumed_waits_count_against_the_step_limit() {
+    let mut b = SpecBuilder::new("budget");
+    let req = b.signal_bit("req");
+    let ack = b.signal_bit("ack");
+    let n = b.var_int("n", 16, 0);
+    let server = b.leaf_server(
+        "Server",
+        vec![stmt::infinite_loop(vec![
+            stmt::wait_until(expr::eq(expr::signal(req), expr::lit(1))),
+            stmt::set_signal(ack, expr::lit(1)),
+            stmt::wait_until(expr::eq(expr::signal(req), expr::lit(0))),
+            stmt::set_signal(ack, expr::lit(0)),
+        ])],
+    );
+    let client = b.leaf(
+        "Client",
+        vec![stmt::for_loop(
+            n,
+            expr::lit(0),
+            expr::lit(3),
+            vec![
+                stmt::set_signal(req, expr::lit(1)),
+                stmt::wait_until(expr::eq(expr::signal(ack), expr::lit(1))),
+                stmt::set_signal(req, expr::lit(0)),
+                stmt::wait_until(expr::eq(expr::signal(ack), expr::lit(0))),
+            ],
+        )],
+    );
+    let top = b.concurrent("Top", vec![client, server]);
+    let spec = b.finish(top).unwrap();
+    let full = run_three(&spec, 10_000).expect("completes");
+    assert!(full.sched.wakeups > 0);
+    for limit in 1..full.steps {
+        let err = run_three(&spec, limit).expect_err("over budget");
+        assert_eq!(err, SimError::StepLimitExceeded { limit });
+    }
+    assert!(run_three(&spec, full.steps).is_ok());
+}
+
+/// `||` and `&&` yield 0 or 1 whatever their terms are, and stop at the
+/// deciding term without changing the value.
+#[test]
+fn logical_chains_yield_booleans() {
+    let mut b = SpecBuilder::new("chains");
+    let s = b.signal_bit("s");
+    let x = b.var_int("x", 16, 5);
+    let y = b.var_int("y", 16, 0);
+    let outs: Vec<_> = (0..6).map(|i| b.var_int(format!("o{i}"), 16, -1)).collect();
+    let xv = || expr::var(x);
+    let yv = || expr::var(y);
+    let a = b.leaf(
+        "A",
+        vec![
+            // 5 || 0 || s: the first term decides, the value is 1.
+            stmt::assign(outs[0], expr::or(expr::or(xv(), yv()), expr::signal(s))),
+            // 0 || s || 0
+            stmt::assign(outs[1], expr::or(expr::or(yv(), expr::signal(s)), yv())),
+            // 5 && 7 && x - 5
+            stmt::assign(
+                outs[2],
+                expr::and(expr::and(xv(), expr::lit(7)), expr::sub(xv(), expr::lit(5))),
+            ),
+            // (x && x && x) * 3
+            stmt::assign(
+                outs[3],
+                expr::mul(expr::and(expr::and(xv(), xv()), xv()), expr::lit(3)),
+            ),
+            // 1 || 0 || 0 folds to 1; 0 && x && 1 stays a chain.
+            stmt::assign(
+                outs[4],
+                expr::or(expr::or(expr::lit(1), expr::lit(0)), expr::lit(0)),
+            ),
+            stmt::assign(
+                outs[5],
+                expr::and(expr::and(expr::lit(0), xv()), expr::lit(1)),
+            ),
+        ],
+    );
+    let top = b.seq_in_order("Top", vec![a]);
+    let spec = b.finish(top).unwrap();
+    let r = run_three(&spec, 10_000).expect("completes");
+    let got: Vec<_> = (0..6)
+        .map(|i| r.var_by_name(&format!("o{i}")).unwrap())
+        .collect();
+    assert_eq!(got, vec![1, 0, 0, 3, 1, 0]);
+}
+
+/// Comparisons of a signal or variable with a literal, in `if`, `while`
+/// and `wait until` conditions and as values, agree across kernels.
+#[test]
+fn fused_comparisons_in_branches_loops_and_waits() {
+    let mut b = SpecBuilder::new("fused");
+    let s = b.signal("s", DataType::uint(4), 0);
+    let i = b.var_int("i", 16, 0);
+    let hits = b.var_int("hits", 16, 0);
+    let neg = b.var_int("neg", 16, 0);
+    let producer = b.leaf(
+        "Producer",
+        vec![stmt::while_loop(
+            expr::lt(expr::var(i), expr::lit(6)),
+            vec![
+                stmt::delay(1),
+                stmt::set_signal(s, expr::add(expr::signal(s), expr::lit(3))),
+                stmt::if_else(
+                    expr::ge(expr::signal(s), expr::lit(9)),
+                    vec![stmt::assign(hits, expr::add(expr::var(hits), expr::lit(1)))],
+                    vec![],
+                ),
+                stmt::assign(i, expr::add(expr::var(i), expr::lit(1))),
+            ],
+        )],
+    );
+    let consumer = b.leaf(
+        "Consumer",
+        vec![
+            stmt::wait_until(expr::eq(expr::signal(s), expr::lit(12))),
+            stmt::assign(neg, expr::sub(expr::var(i), expr::lit(100))),
+        ],
+    );
+    let top = b.concurrent("Top", vec![producer, consumer]);
+    let spec = b.finish(top).unwrap();
+    let r = run_three(&spec, 10_000).expect("completes");
+    // s counts 3, 6, 9, 12, 15 (wraps to 15 at uint<4>), 18 -> 2.
+    assert_eq!(r.var_by_name("hits"), Some(3));
+    assert_eq!(r.var_by_name("neg"), Some(4 - 100));
 }

@@ -97,12 +97,13 @@ impl DataType {
 
     /// Total storage width in bits. For arrays this is `len * elem_width`;
     /// this is the size a memory module must reserve for a variable of this
-    /// type and the amount of data one whole-variable transfer moves.
-    pub fn bit_width(&self) -> u32 {
+    /// type and the amount of data one whole-variable transfer moves. It is
+    /// a `u64`: an array of up to `u32::MAX` elements of up to 65,535 bits
+    /// each overflows `u32`.
+    pub fn bit_width(&self) -> u64 {
         match *self {
-            DataType::Bit | DataType::Bool => 1,
-            DataType::Int { width } | DataType::Uint { width } => u32::from(width),
-            DataType::Array { elem, len } => elem.bit_width() * len,
+            DataType::Array { elem, len } => u64::from(elem.bit_width()) * u64::from(len),
+            _ => u64::from(self.access_width()),
         }
     }
 
@@ -110,10 +111,7 @@ impl DataType {
     /// the full width; for arrays it is one element, because leaf behaviors
     /// read and write arrays element-wise.
     pub fn access_width(&self) -> u32 {
-        match *self {
-            DataType::Array { elem, .. } => elem.bit_width(),
-            _ => self.bit_width(),
-        }
+        self.access_scalar().bit_width()
     }
 
     /// The scalar type of one access (the element type for arrays, the type
