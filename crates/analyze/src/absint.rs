@@ -212,6 +212,15 @@ impl Ranges {
             Entity::Signal(s) => &mut self.signals[s.index()],
         }
     }
+
+    /// Joins `written` into `entity`'s range; returns whether it grew.
+    pub fn join(&mut self, entity: Entity, written: Interval) -> bool {
+        let slot = self.slot(entity);
+        let next = slot.join(written);
+        let grew = next != *slot;
+        *slot = next;
+        grew
+    }
 }
 
 /// Evaluates an expression over `ranges`, with per-signal `overrides`
@@ -310,7 +319,7 @@ pub fn collect_writes<'a>(stmt: &'a Stmt, out: &mut Vec<(Entity, Option<&'a Expr
 }
 
 /// Every entity at its declared initial value.
-fn initial_ranges(spec: &Spec) -> Ranges {
+pub fn initial_ranges(spec: &Spec) -> Ranges {
     Ranges {
         vars: spec
             .variables()
@@ -328,8 +337,6 @@ fn initial_ranges(spec: &Spec) -> Ranges {
 /// in the spec (all behavior bodies and all subroutine bodies),
 /// iterated to a fixpoint with widening.
 pub fn global_ranges(spec: &Spec) -> Ranges {
-    let mut ranges = initial_ranges(spec);
-
     // Parents before their nested bodies: the widening below is
     // order-sensitive, so the write order is part of the result.
     let mut writes: Vec<(Entity, Option<&Expr>)> = Vec::new();
@@ -340,10 +347,27 @@ pub fn global_ranges(spec: &Spec) -> Ranges {
     for body in bodies {
         visit::for_each_stmt(body, &mut |s| collect_writes(s, &mut writes));
     }
+    ranges_of_writes(spec, &writes)
+}
 
+/// The fixpoint of [`global_ranges`] over writes the caller collected:
+/// every body's [`collect_writes`] in pre-order (a statement before its
+/// nested blocks), behavior bodies first, then subroutines, each in
+/// arena order. Another order may widen differently.
+pub fn ranges_of_writes(spec: &Spec, writes: &[(Entity, Option<&Expr>)]) -> Ranges {
+    let mut ranges = initial_ranges(spec);
+    // A write whose value reads no entity joins the same interval every
+    // round, into a range that holds it after round 0; later rounds
+    // evaluate only the others, in the same order.
+    let varying: Vec<(Entity, Option<&Expr>)> = writes
+        .iter()
+        .copied()
+        .filter(|(_, value)| value.is_some_and(|e| e.const_value().is_none()))
+        .collect();
     for round in 0..MAX_ROUNDS {
         let mut changed = false;
-        for (entity, value) in &writes {
+        let pass = if round == 0 { writes } else { &varying };
+        for (entity, value) in pass {
             let written = match value {
                 Some(e) => eval(e, &ranges),
                 None => Interval::TOP,
@@ -361,23 +385,6 @@ pub fn global_ranges(spec: &Spec) -> Ranges {
         if !changed {
             break;
         }
-    }
-    ranges
-}
-
-/// Like [`global_ranges`] but over a caller-chosen set of pre-evaluated
-/// writes: every entity's initial value joined with the `writes` that
-/// target it. The deadlock engine passes only the write sites not
-/// trapped behind never-satisfied waits, each valued under the *full*
-/// ranges (which over-approximates what the write can ever produce).
-pub fn ranges_from_writes(
-    spec: &Spec,
-    writes: impl IntoIterator<Item = (Entity, Interval)>,
-) -> Ranges {
-    let mut ranges = initial_ranges(spec);
-    for (entity, written) in writes {
-        let slot = ranges.slot(entity);
-        *slot = slot.join(written);
     }
     ranges
 }

@@ -6,11 +6,12 @@ use std::collections::HashSet;
 
 use modref_spec::visit;
 use modref_spec::{
-    BehaviorId, BehaviorKind, SourceMap, Spec, StmtOwner, SubroutineId, TransitionTarget, VarId,
+    BehaviorId, BehaviorKind, LValue, SourceMap, Spec, Stmt, StmtOwner, SubroutineId,
+    TransitionTarget, VarId,
 };
 
 use crate::cfg::Cfg;
-use crate::dataflow::{entry_exposed, liveness, maybe_uninit_uses};
+use crate::dataflow::{effects, entry_exposed, liveness, maybe_uninit_uses};
 use crate::diag::{Diagnostic, Severity};
 
 /// Runs every dataflow lint over the spec. The spec must have a sane
@@ -46,21 +47,21 @@ fn per_body_lints(spec: &Spec, map: &SourceMap, out: &mut Vec<Diagnostic>) {
             continue;
         }
         let cfg = Cfg::build(StmtOwner::Behavior(bid), body, Some(map));
+        let fx = effects(&cfg);
 
         // DF01: only for private scalars the body *does* assign somewhere —
         // reading a variable the body never writes just uses its declared
         // initializer, which is the normal way to consume a constant.
-        let defined_somewhere: HashSet<VarId> = cfg
-            .nodes
+        let defined_somewhere: HashSet<VarId> = fx
             .iter()
             .flat_map(|n| n.defs.iter().copied())
             .filter(|v| private.contains(v))
             .collect();
         let mut reported: HashSet<VarId> = HashSet::new();
-        for u in maybe_uninit_uses(&cfg, &defined_somewhere) {
+        for u in maybe_uninit_uses(&cfg, &fx, &defined_somewhere) {
             // `x := x + 1` reads the initializer on purpose; skip
             // self-updates.
-            if cfg.nodes[u.node].defs.contains(&u.var) {
+            if fx[u.node].defs.contains(&u.var) {
                 continue;
             }
             if !reported.insert(u.var) {
@@ -76,7 +77,7 @@ fn per_body_lints(spec: &Spec, map: &SourceMap, out: &mut Vec<Diagnostic>) {
                         b.name()
                     ),
                 )
-                .with_span(cfg.nodes[u.node].span.or_else(|| map.variable_span(u.var)))
+                .with_span(cfg.span(u.node).or_else(|| map.variable_span(u.var)))
                 .with_object(name.clone())
                 .with_fix(format!("assign `{name}` before the first read")),
             );
@@ -84,12 +85,19 @@ fn per_body_lints(spec: &Spec, map: &SourceMap, out: &mut Vec<Diagnostic>) {
 
         // DF02: a scalar store whose value no later read (nor a
         // re-activation of the behavior) can observe.
-        let exposed = entry_exposed(&cfg, &private);
-        let live_out = liveness(&cfg, &private, &exposed);
-        for (id, node) in cfg.nodes.iter().enumerate() {
-            let Some(v) = node.assign_scalar else {
+        let exposed = entry_exposed(&cfg, &fx, &private);
+        let live_out = liveness(&cfg, &fx, &private, &exposed);
+        for (id, stmt) in cfg.stmts().iter().enumerate() {
+            // Only a plain `v := e` scalar assignment: calls and loops
+            // have other effects.
+            let Some(Stmt::Assign {
+                target: LValue::Var(v),
+                ..
+            }) = stmt
+            else {
                 continue;
             };
+            let v = *v;
             if !private.contains(&v) || live_out[id].contains(&v) {
                 continue;
             }
@@ -100,7 +108,7 @@ fn per_body_lints(spec: &Spec, map: &SourceMap, out: &mut Vec<Diagnostic>) {
                     Severity::Warning,
                     format!("value assigned to `{name}` in `{}` is never read", b.name()),
                 )
-                .with_span(node.span.or_else(|| map.variable_span(v)))
+                .with_span(cfg.span(id).or_else(|| map.variable_span(v)))
                 .with_object(name.clone())
                 .with_fix(format!("remove the assignment or use `{name}` afterwards")),
             );

@@ -382,7 +382,10 @@ pub(crate) fn verify_pareto_impl(
             // deadlocks; reject either without spending the simulation
             // time (a statically-dead candidate would otherwise burn
             // the whole step limit before failing).
-            let diags = crate::lint::lint_refined_impl(spec, graph, &refined);
+            let diags = {
+                let _gate = modref_obs::span("lint_gate");
+                crate::lint::lint_refined_impl(spec, graph, &refined)
+            };
             if let Some(codes) = crate::lint::static_reject(&diags) {
                 reject_counter.add(share);
                 if codes.split(", ").any(|c| c.starts_with("DL")) {

@@ -5,7 +5,7 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use modref::core::api::{Codesign, ExploreOpts};
+use modref::core::api::{Codesign, ExploreOpts, VerifyOpts};
 use modref::obs::{self, ClockMode, Event};
 use modref::workloads::medical_spec;
 
@@ -80,6 +80,45 @@ fn traced_explore_emits_wellformed_jsonl_with_cache_hits() {
     let rendered = obs::report::render(&trace);
     assert!(rendered.contains("explore"), "{rendered}");
     assert!(rendered.contains("lifetime.hit"), "{rendered}");
+}
+
+/// Verification traces its static gate: every `verify.job` span holds
+/// exactly one `lint_gate` span, so a report can set the gate's self time
+/// beside `refine` and `sim.run`.
+#[test]
+fn traced_verify_has_one_lint_gate_span_per_job() {
+    let _l = hold();
+    obs::init(ClockMode::Wall);
+    let cd = Codesign::from_spec(medical_spec());
+    let exploration = cd
+        .explore(&ExploreOpts::new().with_seeds(1))
+        .expect("exploration succeeds");
+    cd.verify(&exploration, &VerifyOpts::new())
+        .expect("verification runs");
+    let trace = obs::shutdown();
+
+    let spans = |wanted: &str| -> Vec<(u64, u64)> {
+        trace
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Span {
+                    name, id, parent, ..
+                } if name == wanted => Some((*id, *parent)),
+                _ => None,
+            })
+            .collect()
+    };
+    let jobs = spans("verify.job");
+    let gates = spans("lint_gate");
+    assert!(!jobs.is_empty(), "verification ran no jobs");
+    assert_eq!(gates.len(), jobs.len(), "one gate per job");
+    for (job, _) in &jobs {
+        let under = gates.iter().filter(|&&(_, parent)| parent == *job).count();
+        assert_eq!(under, 1, "verify.job {job} holds {under} lint_gate spans");
+    }
+    let rendered = obs::report::render(&trace);
+    assert!(rendered.contains("lint_gate"), "{rendered}");
 }
 
 /// Determinism guard: under the logical clock, the aggregated metrics of
