@@ -3,11 +3,13 @@
 //!
 //! The conformance lints (`RC01`–`RC04`) validate the *architecture* a
 //! refinement produced — arbiters present on multi-master buses, disjoint
-//! address decode ranges, two-sided buses, sufficient bus widths. They
-//! are cheap (no simulation), so
-//! [`Codesign::verify`](crate::api::Codesign::verify) runs them on every
-//! refined candidate first and rejects statically broken ones before
-//! spending simulation time.
+//! address decode ranges, two-sided buses, sufficient bus widths.
+//! [`Codesign::verify`](crate::api::Codesign::verify) runs them, and the
+//! deadlock lints (`DL01`–`DL05`), on every refined candidate first and
+//! rejects statically broken ones before spending simulation time. The
+//! deadlock engine is linear in the refined spec; on the medical
+//! workload it costs a fraction of one refined simulation per candidate
+//! (EXPERIMENTS.md, "Static-analysis coverage and cost").
 
 use modref_analyze::{
     conformance_lints, deadlock_lints, BusView, Diagnostic, MemoryView, RefinedView, Severity,
