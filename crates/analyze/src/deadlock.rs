@@ -629,7 +629,7 @@ fn must_active(spec: &Spec, ranges: &Ranges) -> HashSet<BehaviorId> {
 fn can_pass_time(stmts: &[Stmt]) -> bool {
     stmts.iter().any(|s| {
         matches!(s, Stmt::Wait(_) | Stmt::Delay(_) | Stmt::Call { .. })
-            || s.bodies().iter().any(|b| can_pass_time(b))
+            || s.bodies().any(can_pass_time)
     })
 }
 

@@ -1,7 +1,7 @@
 //! modref-analyze: the static-analysis subsystem.
 //!
 //! Everything in this crate answers one question: *what is wrong with a
-//! specification (or a refined candidate) without running it?* Four lint
+//! specification (or a refined candidate) without running it?* Five lint
 //! families cover the pipeline:
 //!
 //! * **structural** (`ST01`–`ST06`) — the [`modref_spec::validate`]
@@ -15,7 +15,10 @@
 //!   obligations, reported as notes;
 //! * **conformance** (`RC01`–`RC04`) — checks on *refined* output per
 //!   implementation model: missing arbiters, overlapping address ranges,
-//!   one-sided (deadlocking) buses, width mismatches;
+//!   one-sided (deadlocking) buses, width mismatches. They read the
+//!   refiner's own architecture, so `modref-core` runs them (its `lint`
+//!   module); this crate keeps their [`registry`] entries, so
+//!   explanations and deny/allow configuration cover them too;
 //! * **deadlock/liveness** (`DL01`–`DL05`) — abstract interpretation
 //!   (interval domain with widening, see [`absint`]) plus an
 //!   inter-process wait-dependency fixpoint (see [`deadlock`]) proving
@@ -25,8 +28,7 @@
 //!   exceeds any step limit under every simulation kernel.
 //!
 //! The [`analyze_spec`] entry point runs the spec-level families over a
-//! spec; [`conformance::conformance_lints`] runs conformance over a
-//! [`conformance::RefinedView`] built by the refiner. Diagnostics render
+//! spec; [`deadlock_lints`] also runs over refined specs. Diagnostics render
 //! as human-readable `file:line:col` lines or as JSONL following the
 //! modref-obs conventions.
 //!
@@ -50,7 +52,6 @@
 
 pub mod absint;
 pub mod cfg;
-pub mod conformance;
 pub mod dataflow;
 pub mod deadlock;
 pub mod diag;
@@ -59,7 +60,6 @@ pub mod race;
 pub mod registry;
 pub mod structural;
 
-pub use conformance::{conformance_lints, BusView, MemoryView, RefinedView};
 pub use deadlock::deadlock_lints;
 pub use diag::{render_json_lines, sort_canonical, Diagnostic, Severity, Totals};
 pub use registry::{lint, Lint, LintConfig, LINTS};

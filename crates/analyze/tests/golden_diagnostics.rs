@@ -1,11 +1,10 @@
-//! Golden-file diagnostics: one malformed fixture per lint family,
-//! asserting the exact JSONL each produces. These pin both the finding
-//! logic and the rendered output format — any change to either shows up
-//! as a diff here.
+//! Golden-file diagnostics: one malformed fixture per spec-level lint
+//! family, asserting the exact JSONL each produces. These pin both the
+//! finding logic and the rendered output format — any change to either
+//! shows up as a diff here. (The conformance family's goldens are
+//! tampered refinements, in `modref-core`'s `lint` module.)
 
-use modref_analyze::{
-    analyze_spec, conformance_lints, render_json_lines, BusView, MemoryView, RefinedView,
-};
+use modref_analyze::{analyze_spec, render_json_lines};
 use modref_spec::parser::parse_with_spans;
 
 /// Parses a fixture, lints it, and renders the JSONL batch under the
@@ -112,113 +111,6 @@ fn golden_cc01_shared_write_race() {
             "which run concurrently; refinement must serialize these accesses\", ",
             "\"fix\": \"map the variable to an arbitrated global memory (Models 1-4) during refinement\"}\n",
             "{\"k\": \"lint_summary\", \"errors\": 0, \"warnings\": 0, \"notes\": 1, \"total\": 1}\n",
-        )
-    );
-}
-
-fn bus(name: &str, masters: &[&str], slaves: &[&str], has_arbiter: bool) -> BusView {
-    BusView {
-        name: name.into(),
-        data_bits: 16,
-        addr_bits: 8,
-        masters: masters.iter().map(|s| s.to_string()).collect(),
-        slaves: slaves.iter().map(|s| s.to_string()).collect(),
-        has_arbiter,
-        required_data_bits: 16,
-    }
-}
-
-fn mem(name: &str, range: Option<(u64, u64)>, buses: &[&str]) -> MemoryView {
-    MemoryView {
-        name: name.into(),
-        global: true,
-        range,
-        port_buses: buses.iter().map(|s| s.to_string()).collect(),
-    }
-}
-
-#[test]
-fn golden_rc01_arbiter_missing() {
-    let view = RefinedView {
-        model: 1,
-        buses: vec![bus("b1", &["A", "B"], &["Gmem"], false)],
-        memories: vec![mem("Gmem", Some((0, 9)), &["b1"])],
-    };
-    let json = render_json_lines(&conformance_lints(&view), "");
-    assert_eq!(
-        json,
-        concat!(
-            "{\"k\": \"diag\", \"code\": \"RC01\", \"severity\": \"error\", \"object\": \"b1\", ",
-            "\"message\": \"Model1: bus `b1` has 2 masters (A, B) but no arbiter\", ",
-            "\"fix\": \"insert a bus arbiter (the paper's Figure 7)\"}\n",
-            "{\"k\": \"lint_summary\", \"errors\": 1, \"warnings\": 0, \"notes\": 0, \"total\": 1}\n",
-        )
-    );
-}
-
-#[test]
-fn golden_rc02_address_overlap() {
-    let view = RefinedView {
-        model: 2,
-        buses: vec![
-            bus("b1", &["A"], &["M1"], false),
-            bus("b2", &["B"], &["M2"], false),
-        ],
-        memories: vec![
-            mem("M1", Some((0, 9)), &["b1"]),
-            mem("M2", Some((5, 12)), &["b2"]),
-        ],
-    };
-    let json = render_json_lines(&conformance_lints(&view), "");
-    assert_eq!(
-        json,
-        concat!(
-            "{\"k\": \"diag\", \"code\": \"RC02\", \"severity\": \"error\", \"object\": \"M1\", ",
-            "\"message\": \"Model2: memories `M1` [0, 9] and `M2` [5, 12] decode overlapping address ranges\", ",
-            "\"fix\": \"assign disjoint address ranges in the address map\"}\n",
-            "{\"k\": \"lint_summary\", \"errors\": 1, \"warnings\": 0, \"notes\": 0, \"total\": 1}\n",
-        )
-    );
-}
-
-#[test]
-fn golden_rc03_unmatched_send_recv() {
-    let view = RefinedView {
-        model: 4,
-        buses: vec![bus("b3", &["IF_p0"], &[], false)],
-        memories: vec![],
-    };
-    let json = render_json_lines(&conformance_lints(&view), "");
-    assert_eq!(
-        json,
-        concat!(
-            "{\"k\": \"diag\", \"code\": \"RC03\", \"severity\": \"error\", \"object\": \"b3\", ",
-            "\"message\": \"Model4: bus `b3` has masters (IF_p0) but no slave to acknowledge them ",
-            "\u{2014} every transaction deadlocks\", ",
-            "\"fix\": \"attach the memory port or bus interface that serves this bus\"}\n",
-            "{\"k\": \"lint_summary\", \"errors\": 1, \"warnings\": 0, \"notes\": 0, \"total\": 1}\n",
-        )
-    );
-}
-
-#[test]
-fn golden_rc04_width_mismatch() {
-    let mut narrow = bus("b1", &["A"], &["Gmem"], false);
-    narrow.required_data_bits = 32;
-    let view = RefinedView {
-        model: 3,
-        buses: vec![narrow],
-        memories: vec![mem("Gmem", Some((0, 9)), &["b1"])],
-    };
-    let json = render_json_lines(&conformance_lints(&view), "");
-    assert_eq!(
-        json,
-        concat!(
-            "{\"k\": \"diag\", \"code\": \"RC04\", \"severity\": \"error\", \"object\": \"b1\", ",
-            "\"message\": \"Model3: bus `b1` is 16 bits wide but a channel routed over it ",
-            "needs 32-bit accesses\", ",
-            "\"fix\": \"widen the bus to 32 data bits\"}\n",
-            "{\"k\": \"lint_summary\", \"errors\": 1, \"warnings\": 0, \"notes\": 0, \"total\": 1}\n",
         )
     );
 }

@@ -253,13 +253,13 @@ pub fn refine(
             printer::line_count(&refined.spec)
         );
         eprintln!("architecture:");
-        for line in modref_core::report::describe(&refined.architecture).lines() {
+        for line in modref_core::report::describe(&refined).lines() {
             eprintln!("  {line}");
         }
     }
 
     if let Some(path) = dot {
-        fs::write(path, modref_core::dot::to_dot(&refined.architecture))
+        fs::write(path, modref_core::dot::to_dot(&refined))
             .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
     }

@@ -1016,6 +1016,35 @@ mod tests {
     }
 
     #[test]
+    fn verify_reports_partitions_outside_its_allocation() {
+        // Explored on three components, verified on the default two: a
+        // candidate may place objects on the third, which the
+        // verification allocation lacks.
+        let cd = Codesign::from_spec(modref_workloads::fig2_spec());
+        let three = "component PROC processor 65536\n\
+                     component ASIC1 asic 10000 75\n\
+                     component ASIC2 asic 10000 75\n";
+        let opts = ExploreOpts::new().with_part(three);
+        let exploration = cd.explore(&opts).expect("explores");
+        let v = cd
+            .verify(&exploration, &VerifyOpts::new())
+            .expect("verifies");
+        let failed: Vec<_> = v.records.iter().filter(|r| !r.equivalent).collect();
+        assert!(
+            !failed.is_empty(),
+            "some candidate uses the third component"
+        );
+        for r in failed {
+            assert!(
+                r.detail.starts_with("refinement failed: ")
+                    && r.detail.contains("which the allocation lacks"),
+                "{}",
+                r.detail
+            );
+        }
+    }
+
+    #[test]
     fn parse_rejects_invalid_spec_with_structured_error() {
         // Valid syntax, but a scalar is indexed like an array — a
         // structural violation only validation catches.

@@ -1,8 +1,22 @@
 //! The architecture netlist that emerges from refinement: buses, memory
 //! modules, arbiters and bus interfaces.
+//!
+//! The netlist names no object twice. Its behaviors are [`BehaviorId`]s
+//! of the refined specification ([`Refined::spec`]), so their names are
+//! the spec's own, and its buses are indices into
+//! [`Architecture::buses`], named by [`bus_name`].
+//!
+//! [`Refined::spec`]: crate::Refined::spec
 
 use modref_partition::ComponentId;
-use modref_spec::VarId;
+use modref_spec::{BehaviorId, VarId};
+
+/// The name of bus `index`: `b1`, `b2`, ... in paper order. Bus wires,
+/// protocol subroutines, arbiters, reports and lints all take a bus's
+/// name from here.
+pub fn bus_name(index: usize) -> String {
+    format!("b{}", index + 1)
+}
 
 /// What role a bus plays in the refined architecture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,18 +37,18 @@ pub enum BusKind {
 /// A bus in the refined architecture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Bus {
-    /// Bus name (`b1`, `b2`, ... in paper order).
-    pub name: String,
     /// Role.
     pub kind: BusKind,
     /// Data-line width in bits.
     pub data_bits: u32,
     /// Address-line width in bits.
     pub addr_bits: u32,
-    /// Names of master behaviors driving transactions on this bus.
-    pub masters: Vec<String>,
-    /// Names of slave behaviors serving this bus.
-    pub slaves: Vec<String>,
+    /// The behaviors issuing this bus's calls, one per master slot in
+    /// arbiter priority order (index 0 = highest). A leaf that also runs
+    /// a guard fetch on the bus holds two slots.
+    pub masters: Vec<BehaviorId>,
+    /// The memory ports and bus interfaces serving this bus.
+    pub slaves: Vec<BehaviorId>,
 }
 
 impl Bus {
@@ -50,18 +64,20 @@ impl Bus {
     }
 }
 
-/// A memory module in the refined architecture.
+/// A memory module in the refined architecture. Its name is that of its
+/// first port behavior (`Gmem_p0`, `Lmem_p1`, ...).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryModule {
-    /// Module name (`Gmem_p0`, `Lmem_PROC`, ...).
-    pub name: String,
-    /// The component the memory sits on, or `None` for a standalone
-    /// global memory chip.
-    pub component: Option<ComponentId>,
+    /// The component the memory sits on.
+    pub component: ComponentId,
     /// Whether this is a global memory (holds globals) or local.
     pub global: bool,
-    /// The buses its ports serve, one per port.
-    pub port_buses: Vec<String>,
+    /// The buses its ports serve, one per port, as bus indices.
+    pub port_buses: Vec<usize>,
+    /// The port behaviors serving `port_buses`, in the same order; the
+    /// first also scopes the module's variables. Empty in a
+    /// [`RefinePlan`](crate::RefinePlan): refinement creates them.
+    pub ports: Vec<BehaviorId>,
     /// The variables stored in the module.
     pub vars: Vec<VarId>,
     /// Addressable words.
@@ -70,35 +86,25 @@ pub struct MemoryModule {
     pub bits: u64,
 }
 
-impl MemoryModule {
-    /// Number of ports.
-    pub fn ports(&self) -> usize {
-        self.port_buses.len()
-    }
-}
-
-/// An arbiter inserted on a multi-master bus (Figure 7).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An arbiter inserted on a multi-master bus (Figure 7). It grants the
+/// bus's masters in [`Bus::masters`] order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArbiterDesc {
-    /// The generated arbiter behavior's name.
-    pub name: String,
+    /// The generated arbiter behavior.
+    pub behavior: BehaviorId,
     /// The bus it guards.
-    pub bus: String,
-    /// Master behavior names in priority order (index 0 = highest).
-    pub masters: Vec<String>,
+    pub bus: usize,
 }
 
 /// A bus interface inserted for message passing (Figure 8).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InterfaceDesc {
-    /// The generated interface behavior's name.
-    pub name: String,
-    /// The component it belongs to.
-    pub component_name: String,
+    /// The generated interface behavior.
+    pub behavior: BehaviorId,
     /// The bus it serves (listens on) as a slave.
-    pub serves_bus: String,
+    pub serves_bus: usize,
     /// The bus it masters to forward requests.
-    pub masters_bus: String,
+    pub masters_bus: usize,
 }
 
 /// The complete emerging architecture of a refined design.
@@ -115,11 +121,6 @@ pub struct Architecture {
 }
 
 impl Architecture {
-    /// Looks up a bus by name.
-    pub fn bus(&self, name: &str) -> Option<&Bus> {
-        self.buses.iter().find(|b| b.name == name)
-    }
-
     /// Number of buses — compare against
     /// [`ImplModel::max_buses`](crate::ImplModel::max_buses).
     pub fn bus_count(&self) -> usize {
@@ -142,15 +143,24 @@ impl Architecture {
 mod tests {
     use super::*;
 
+    fn id(raw: u32) -> BehaviorId {
+        BehaviorId::from_raw(raw)
+    }
+
+    #[test]
+    fn bus_names_follow_paper_order() {
+        assert_eq!(bus_name(0), "b1");
+        assert_eq!(bus_name(9), "b10");
+    }
+
     #[test]
     fn bus_pins_and_arbiter_need() {
         let bus = Bus {
-            name: "b1".into(),
             kind: BusKind::Global,
             data_bits: 16,
             addr_bits: 5,
-            masters: vec!["A".into(), "B".into()],
-            slaves: vec!["Gmem".into()],
+            masters: vec![id(0), id(1)],
+            slaves: vec![id(2)],
         };
         assert_eq!(bus.pins(), 16 + 5 + 4);
         assert!(bus.needs_arbiter());
@@ -160,27 +170,25 @@ mod tests {
     fn architecture_queries() {
         let mut a = Architecture::default();
         a.buses.push(Bus {
-            name: "b1".into(),
             kind: BusKind::Local(ComponentId::from_raw(0)),
             data_bits: 8,
             addr_bits: 3,
-            masters: vec!["A".into()],
+            masters: vec![id(0)],
             slaves: vec![],
         });
         a.memories.push(MemoryModule {
-            name: "Lmem".into(),
-            component: Some(ComponentId::from_raw(0)),
+            component: ComponentId::from_raw(0),
             global: false,
-            port_buses: vec!["b1".into()],
+            port_buses: vec![0],
+            ports: vec![id(1)],
             vars: vec![],
             words: 4,
             bits: 32,
         });
         assert_eq!(a.bus_count(), 1);
-        assert!(a.bus("b1").is_some());
-        assert!(!a.bus("b1").unwrap().needs_arbiter());
+        assert!(!a.buses[0].needs_arbiter());
         assert_eq!(a.memory_count(), 1);
         assert_eq!(a.total_memory_bits(), 32);
-        assert_eq!(a.memories[0].ports(), 1);
+        assert_eq!(a.memories[0].ports.len(), 1);
     }
 }

@@ -5,15 +5,19 @@
 
 use std::fmt::Write as _;
 
-use crate::arch::{Architecture, BusKind};
+use crate::arch::{bus_name, BusKind};
+use crate::refine::Refined;
 
-/// Renders the architecture netlist in DOT format.
-pub fn to_dot(arch: &Architecture) -> String {
+/// Renders the refined architecture netlist in DOT format, naming each
+/// behavior as the refined spec does.
+pub fn to_dot(refined: &Refined) -> String {
+    let arch = &refined.architecture;
     let mut out = String::new();
     let _ = writeln!(out, "graph architecture {{");
     let _ = writeln!(out, "  node [fontname=\"Helvetica\"];");
 
-    for bus in &arch.buses {
+    for (idx, bus) in arch.buses.iter().enumerate() {
+        let name = bus_name(idx);
         let color = match bus.kind {
             BusKind::Local(_) => "gray70",
             BusKind::Global => "black",
@@ -22,44 +26,44 @@ pub fn to_dot(arch: &Architecture) -> String {
         };
         let _ = writeln!(
             out,
-            "  \"{}\" [label=\"{} ({}d+{}a)\", shape=underline, color={color}];",
-            bus.name, bus.name, bus.data_bits, bus.addr_bits
+            "  \"{name}\" [label=\"{name} ({}d+{}a)\", shape=underline, color={color}];",
+            bus.data_bits, bus.addr_bits
         );
-        for master in &bus.masters {
+        for &master in &bus.masters {
+            let master = refined.name(master);
             let _ = writeln!(out, "  \"m_{master}\" [label=\"{master}\", shape=box];");
-            let _ = writeln!(out, "  \"m_{master}\" -- \"{}\";", bus.name);
+            let _ = writeln!(out, "  \"m_{master}\" -- \"{name}\";");
         }
     }
 
     for mem in &arch.memories {
+        let name = refined.memory_name(mem);
         let shape = if mem.global { "box3d" } else { "cylinder" };
         let _ = writeln!(
             out,
-            "  \"{}\" [label=\"{}\\n{} words\", shape={shape}];",
-            mem.name, mem.name, mem.words
+            "  \"{name}\" [label=\"{name}\\n{} words\", shape={shape}];",
+            mem.words
         );
-        for bus in &mem.port_buses {
-            let _ = writeln!(out, "  \"{}\" -- \"{bus}\";", mem.name);
+        for &bus in &mem.port_buses {
+            let _ = writeln!(out, "  \"{name}\" -- \"{}\";", bus_name(bus));
         }
     }
 
     for arb in &arch.arbiters {
+        let name = refined.name(arb.behavior);
+        let _ = writeln!(out, "  \"{name}\" [label=\"{name}\", shape=diamond];");
         let _ = writeln!(
             out,
-            "  \"{}\" [label=\"{}\", shape=diamond];",
-            arb.name, arb.name
+            "  \"{name}\" -- \"{}\" [style=dotted];",
+            bus_name(arb.bus)
         );
-        let _ = writeln!(out, "  \"{}\" -- \"{}\" [style=dotted];", arb.name, arb.bus);
     }
 
     for ifc in &arch.interfaces {
-        let _ = writeln!(
-            out,
-            "  \"{}\" [label=\"{}\", shape=component];",
-            ifc.name, ifc.name
-        );
-        let _ = writeln!(out, "  \"{}\" -- \"{}\";", ifc.name, ifc.serves_bus);
-        let _ = writeln!(out, "  \"{}\" -- \"{}\";", ifc.name, ifc.masters_bus);
+        let name = refined.name(ifc.behavior);
+        let _ = writeln!(out, "  \"{name}\" [label=\"{name}\", shape=component];");
+        let _ = writeln!(out, "  \"{name}\" -- \"{}\";", bus_name(ifc.serves_bus));
+        let _ = writeln!(out, "  \"{name}\" -- \"{}\";", bus_name(ifc.masters_bus));
     }
 
     out.push_str("}\n");
@@ -88,7 +92,7 @@ mod tests {
         let alloc = Allocation::proc_plus_asic();
         let part = Partition::with_default(alloc.by_name("PROC").unwrap());
         let refined = refine(&spec, &graph, &alloc, &part, ImplModel::Model1).unwrap();
-        let dot = to_dot(&refined.architecture);
+        let dot = to_dot(&refined);
         assert!(dot.starts_with("graph architecture {"));
         assert!(dot.contains("\"b1\""));
         assert!(dot.contains("Gmem_p0"));
@@ -112,7 +116,7 @@ mod tests {
         part.assign_behavior(spec.behavior_by_name("C").unwrap(), asic);
         part.assign_var(spec.variable_by_name("x").unwrap(), proc);
         let refined = refine(&spec, &graph, &alloc, &part, ImplModel::Model4).unwrap();
-        let dot = to_dot(&refined.architecture);
+        let dot = to_dot(&refined);
         assert!(dot.contains("shape=component"), "interfaces rendered");
     }
 }

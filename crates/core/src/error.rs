@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
+use modref_partition::ComponentId;
 use modref_spec::{BehaviorId, SpecError, VarId};
 
 /// An error raised by the refinement engine.
@@ -12,6 +13,9 @@ pub enum RefineError {
     UnassignedBehavior(BehaviorId),
     /// The partition does not assign a component to a variable.
     UnassignedVar(VarId),
+    /// The partition assigns an object to a component the allocation
+    /// lacks.
+    UnknownComponent(ComponentId),
     /// The chosen model requires at least one component.
     EmptyAllocation,
     /// The refined specification failed validation — an engine bug
@@ -27,6 +31,12 @@ impl fmt::Display for RefineError {
             }
             RefineError::UnassignedVar(v) => {
                 write!(f, "partition assigns no component to variable {v}")
+            }
+            RefineError::UnknownComponent(c) => {
+                write!(
+                    f,
+                    "partition assigns objects to {c}, which the allocation lacks"
+                )
             }
             RefineError::EmptyAllocation => write!(f, "allocation has no components"),
             RefineError::InvalidOutput(e) => write!(f, "refined spec failed validation: {e}"),

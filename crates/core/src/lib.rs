@@ -79,7 +79,7 @@ pub mod serve;
 pub mod trace_check;
 
 pub use api::{Codesign, ModrefError};
-pub use arch::{ArbiterDesc, Architecture, Bus, BusKind, InterfaceDesc, MemoryModule};
+pub use arch::{bus_name, ArbiterDesc, Architecture, Bus, BusKind, InterfaceDesc, MemoryModule};
 pub use error::RefineError;
 pub use explore::{DesignPoint, Exploration, Verification, VerifyRecord};
 pub use lint::static_reject;

@@ -1,16 +1,17 @@
 //! The refinement plan: the pure analysis behind the spec transformer,
 //! and the bus assignment it shares with the Figure 9 rate tables.
 //!
-//! [`BusAssignment`] is the model-specific decision, and the only place
-//! buses are named. From each variable's *home component* and its
-//! local/global class under a partition (a [`Placement`]) it decides:
+//! [`BusAssignment`] is the model-specific decision. From each
+//! variable's *home component* and its local/global class under a
+//! partition (a [`Placement`]) it decides:
 //!
 //! * which **memory modules** exist and which one holds each variable
 //!   (grouped by home component and local/global class, matching the
 //!   paper's Gmem/Lmem split — Model1 maps everything to global
 //!   memories, Model4 everything to local memories);
-//! * which **buses** exist, named `b1`, `b2`, ... in the paper's
-//!   canonical order for each model (Figure 3);
+//! * which **buses** exist, in the paper's canonical order for each
+//!   model (Figure 3), named by their index
+//!   ([`bus_name`](crate::arch::bus_name));
 //! * which bus (or bus *chain*, for Model4 remote accesses) carries each
 //!   access, and which buses each memory's ports serve.
 //!
@@ -19,8 +20,8 @@
 //! derives all four models' bus tables from one [`BusAssignment`] each.
 //!
 //! [`RefinePlan`] composes a [`BusAssignment`] with what only
-//! refinement needs: the architecture's [`MemoryModule`]s — named, with
-//! their variables, port buses and sizes — the **global address map**
+//! refinement needs: the architecture's [`MemoryModule`]s — with their
+//! variables, port buses and sizes — the **global address map**
 //! (each memory occupies a contiguous range so slaves can range-decode
 //! shared buses) and the bus widths.
 
@@ -34,15 +35,6 @@ use crate::address::AddressMap;
 use crate::arch::{BusKind, MemoryModule};
 use crate::error::RefineError;
 use crate::model::ImplModel;
-
-/// A planned bus.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BusPlan {
-    /// Bus name in paper order (`b1`...).
-    pub name: String,
-    /// Bus role.
-    pub kind: BusKind,
-}
 
 /// The model-independent facts of one partition that bus assignment
 /// and the Figure 9 rates need: each variable's home component and
@@ -71,7 +63,9 @@ impl Placement {
     ///
     /// * [`RefineError::EmptyAllocation`] for an empty allocation;
     /// * [`RefineError::UnassignedBehavior`] / `UnassignedVar` when the
-    ///   partition leaves objects without a component.
+    ///   partition leaves objects without a component;
+    /// * [`RefineError::UnknownComponent`] when it names a component the
+    ///   allocation lacks.
     pub fn new(
         spec: &Spec,
         graph: &AccessGraph,
@@ -85,9 +79,14 @@ impl Placement {
         let mut component_of = |b: BehaviorId| {
             *resolved[b.index()].get_or_insert_with(|| partition.component_of_behavior(spec, b))
         };
-        for leaf in spec.leaves() {
-            if component_of(leaf).is_none() {
-                return Err(RefineError::UnassignedBehavior(leaf));
+        let p = allocation.len();
+        for b in spec.reachable() {
+            match component_of(b) {
+                Some(c) if c.index() >= p => return Err(RefineError::UnknownComponent(c)),
+                None if spec.behavior(b).is_leaf() => {
+                    return Err(RefineError::UnassignedBehavior(b))
+                }
+                _ => {}
             }
         }
         let mut homes = spec
@@ -96,6 +95,9 @@ impl Placement {
                 let home = partition
                     .component_of_var(spec, v)
                     .ok_or(RefineError::UnassignedVar(v))?;
+                if home.index() >= p {
+                    return Err(RefineError::UnknownComponent(home));
+                }
                 Ok((home, VarClass::Local))
             })
             .collect::<Result<Vec<_>, RefineError>>()?;
@@ -161,7 +163,7 @@ pub struct BusAssignment {
     memories: Vec<(ComponentId, bool)>,
     /// The memory module per variable, indexed by [`VarId::index`].
     var_memory: Vec<Option<usize>>,
-    buses: Vec<BusPlan>,
+    buses: Vec<BusKind>,
     /// Per component index.
     local: Vec<Option<usize>>,
     ifc: Vec<Option<usize>>,
@@ -219,12 +221,8 @@ impl BusAssignment {
     }
 
     fn next_bus(&mut self, kind: BusKind) -> usize {
-        let b = self.buses.len();
-        self.buses.push(BusPlan {
-            name: format!("b{}", b + 1),
-            kind,
-        });
-        b
+        self.buses.push(kind);
+        self.buses.len() - 1
     }
 
     /// Plans a local bus for component `c` when it has a local memory.
@@ -286,14 +284,9 @@ impl BusAssignment {
         }
     }
 
-    /// The buses, in naming order (`b1`, `b2`, ...).
-    pub fn buses(&self) -> &[BusPlan] {
+    /// The buses' roles, in naming order (`b1`, `b2`, ...).
+    pub fn buses(&self) -> &[BusKind] {
         &self.buses
-    }
-
-    /// The buses, in naming order, by value.
-    pub fn into_buses(self) -> Vec<BusPlan> {
-        self.buses
     }
 
     /// `(home, global)` per memory module, in module order: by
@@ -358,11 +351,6 @@ impl BusAssignment {
         }
     }
 
-    /// The name of bus `bus`.
-    pub fn name(&self, bus: usize) -> &str {
-        &self.buses[bus].name
-    }
-
     /// The per-component local bus, if planned.
     pub fn local_bus_of(&self, cid: ComponentId) -> Option<usize> {
         self.local.get(cid.index()).copied().flatten()
@@ -407,7 +395,9 @@ impl RefinePlan {
     ///
     /// * [`RefineError::EmptyAllocation`] for an empty allocation;
     /// * [`RefineError::UnassignedVar`] / `UnassignedBehavior` when the
-    ///   partition leaves objects without a component.
+    ///   partition leaves objects without a component;
+    /// * [`RefineError::UnknownComponent`] when it names a component the
+    ///   allocation lacks.
     pub fn build(
         spec: &Spec,
         graph: &AccessGraph,
@@ -423,18 +413,10 @@ impl RefinePlan {
             .iter()
             .enumerate()
             .map(|(i, &(home, global))| MemoryModule {
-                name: if global {
-                    format!("Gmem_p{}", home.index())
-                } else {
-                    format!("Lmem_p{}", home.index())
-                },
-                component: Some(home),
+                component: home,
                 global,
-                port_buses: assignment
-                    .memory_ports(i)
-                    .into_iter()
-                    .map(|b| assignment.name(b).to_string())
-                    .collect(),
+                port_buses: assignment.memory_ports(i),
+                ports: Vec::new(),
                 vars: Vec::new(),
                 words: 0,
                 bits: 0,
@@ -472,8 +454,8 @@ impl RefinePlan {
         })
     }
 
-    /// The planned buses, in naming order.
-    pub fn buses(&self) -> &[BusPlan] {
+    /// The planned buses' roles, in naming order.
+    pub fn buses(&self) -> &[BusKind] {
         self.assignment.buses()
     }
 
@@ -577,15 +559,9 @@ mod tests {
         // Memories: Lmem_p0 {x}, Gmem_p0 {g}, Lmem_p1 {y}.
         assert_eq!(plan.memories.len(), 3);
         // Buses: b1 local0, b2 global, b3 local1 — paper order.
-        assert_eq!(
-            plan.buses()
-                .iter()
-                .map(|b| b.name.as_str())
-                .collect::<Vec<_>>(),
-            vec!["b1", "b2", "b3"]
-        );
-        assert!(matches!(plan.buses()[0].kind, BusKind::Local(_)));
-        assert!(matches!(plan.buses()[1].kind, BusKind::Global));
+        assert_eq!(plan.buses().len(), 3);
+        assert!(matches!(plan.buses()[0], BusKind::Local(_)));
+        assert!(matches!(plan.buses()[1], BusKind::Global));
         let (proc, asic) = proc_asic(&alloc);
         let g = spec.variable_by_name("g").unwrap();
         let y = spec.variable_by_name("y").unwrap();
@@ -666,6 +642,23 @@ mod tests {
                 plan.buses().len()
             );
         }
+    }
+
+    #[test]
+    fn components_outside_the_allocation_are_rejected() {
+        let outside = ComponentId::from_raw(2);
+        let (spec, graph, alloc, mut part) = fixture();
+        part.assign_behavior(spec.top(), outside);
+        assert_eq!(
+            RefinePlan::build(&spec, &graph, &alloc, &part, ImplModel::Model1),
+            Err(RefineError::UnknownComponent(outside))
+        );
+        let (spec, graph, alloc, mut part) = fixture();
+        part.assign_var(spec.variable_by_name("y").unwrap(), outside);
+        assert_eq!(
+            RefinePlan::build(&spec, &graph, &alloc, &part, ImplModel::Model3),
+            Err(RefineError::UnknownComponent(outside))
+        );
     }
 
     #[test]

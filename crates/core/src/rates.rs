@@ -29,6 +29,7 @@ use modref_graph::{AccessGraph, Channel};
 use modref_partition::{Allocation, ComponentId, Partition};
 use modref_spec::{Spec, VarId};
 
+use crate::arch::bus_name;
 use crate::error::RefineError;
 use crate::model::ImplModel;
 use crate::plan::{BusAssignment, Placement};
@@ -104,11 +105,9 @@ impl CandidateRates {
                 sums[bus] += rate;
             }
         }
-        assignment
-            .into_buses()
-            .into_iter()
-            .zip(sums)
-            .map(|(bus, sum)| (bus.name, sum))
+        sums.into_iter()
+            .enumerate()
+            .map(|(bus, sum)| (bus_name(bus), sum))
             .collect()
     }
 }

@@ -4,8 +4,8 @@
 //! [`refine`] rebuilds the specification from scratch:
 //!
 //! 1. memory-module placeholder behaviors are created for the plan's
-//!    [`MemoryModule`](crate::arch::MemoryModule)s and every original
-//!    variable is re-declared inside its module;
+//!    [`MemoryModule`]s and every original variable is re-declared
+//!    inside its module;
 //! 2. bus wires are generated, the bus masters are enumerated (leaf
 //!    bodies and guard fetches that touch memory, plus the Model4 bus
 //!    interfaces their remote accesses pass through), and each bus gets
@@ -26,7 +26,12 @@
 //!
 //! Every step reads buses, memories and access routes as indices from
 //! the plan's [`BusAssignment`](crate::plan::BusAssignment); bus names
-//! appear only where a signal, subroutine or architecture entry is named.
+//! appear only where a signal or subroutine is named. The architecture
+//! records each master, slave, arbiter and interface as the id of the
+//! refined behavior, taken when that behavior is created or filled: a
+//! leaf's master is its copy, or its `B_NEW` when control refinement
+//! moved it; a guard fetch's master is the occupant leaf it is appended
+//! to, or the interposed `{child}_fetch` leaf.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -40,7 +45,7 @@ use modref_spec::{
 };
 
 use crate::arbiter::make_arbiter;
-use crate::arch::{ArbiterDesc, Architecture, Bus, InterfaceDesc};
+use crate::arch::{bus_name, ArbiterDesc, Architecture, Bus, InterfaceDesc, MemoryModule};
 use crate::control::{make_bctrl, make_bnew_composite, make_bnew_leaf, ControlSignals};
 use crate::data::{fetch_call, DataRefiner, VarAccess};
 use crate::error::RefineError;
@@ -64,6 +69,29 @@ pub struct Refined {
     /// For every original data channel, the buses that now carry it, as
     /// indices into `architecture.buses`.
     pub channel_buses: HashMap<ChannelId, Vec<usize>>,
+}
+
+impl Refined {
+    /// The name of refined behavior `id`.
+    pub fn name(&self, id: BehaviorId) -> &str {
+        self.spec.behavior(id).name()
+    }
+
+    /// The names of `ids`, comma-separated.
+    pub fn names(&self, ids: &[BehaviorId]) -> String {
+        let names: Vec<&str> = ids.iter().map(|&id| self.name(id)).collect();
+        names.join(", ")
+    }
+
+    /// The name of a memory module: its first port behavior's.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `mem` has no port behavior, as the modules of a
+    /// [`RefinePlan`] have before refinement creates them.
+    pub fn memory_name(&self, mem: &MemoryModule) -> &str {
+        self.name(mem.ports[0])
+    }
 }
 
 /// Refines `spec` into the implementation model `model` under the given
@@ -105,7 +133,6 @@ enum CtxKey {
 #[derive(Debug, Clone)]
 struct MasterCtx {
     key: CtxKey,
-    name: String,
     /// The buses the context drives, as
     /// [`BusAssignment`](crate::plan::BusAssignment) indices.
     buses: BTreeSet<usize>,
@@ -124,11 +151,11 @@ struct Builder<'a> {
     wires: Vec<BusWires>,
     contexts: Vec<MasterCtx>,
     ctx_subs: HashMap<(usize, CtxKey), (SubroutineId, SubroutineId)>,
+    /// The refined behavior issuing each context's bus calls.
+    masters: HashMap<CtxKey, BehaviorId>,
     mem_port0: Vec<BehaviorId>,
     /// Per bus index, created with the bus's first memory port.
     slv_subs: Vec<Option<SlvSubs>>,
-    /// `(bus index, arbiter)` for every shared bus, in bus order.
-    arbiters: Vec<(usize, BehaviorId)>,
     servers: Vec<BehaviorId>,
     arch: Architecture,
     guard_tmp: HashMap<(BehaviorId, VarId), VarId>,
@@ -148,9 +175,9 @@ impl<'a> Builder<'a> {
             wires: Vec::new(),
             contexts: Vec::new(),
             ctx_subs: HashMap::new(),
+            masters: HashMap::new(),
             mem_port0: Vec::new(),
             slv_subs: Vec::new(),
-            arbiters: Vec::new(),
             servers: Vec::new(),
             arch: Architecture::default(),
             guard_tmp: HashMap::new(),
@@ -222,8 +249,9 @@ impl<'a> Builder<'a> {
 
     fn create_memory_placeholders(&mut self) {
         for mem in &self.plan.memories {
+            let class = if mem.global { "G" } else { "L" };
             let id = self.out.add_behavior(Behavior::new_server(
-                mem.name.clone(),
+                format!("{class}mem_p{}", mem.component.index()),
                 BehaviorKind::Leaf { body: Vec::new() },
             ));
             self.mem_port0.push(id);
@@ -268,8 +296,8 @@ impl<'a> Builder<'a> {
 
     fn create_bus_wires(&mut self) {
         let (addr_bits, data_bits) = (self.plan.addr_bits, self.plan.data_bits);
-        for bus in self.plan.buses() {
-            let wires = BusWires::create(&mut self.out, &bus.name, addr_bits, data_bits);
+        for bus in 0..self.plan.buses().len() {
+            let wires = BusWires::create(&mut self.out, &bus_name(bus), addr_bits, data_bits);
             self.wires.push(wires);
         }
         self.slv_subs = vec![None; self.wires.len()];
@@ -292,7 +320,6 @@ impl<'a> Builder<'a> {
             if !buses.is_empty() {
                 self.contexts.push(MasterCtx {
                     key: CtxKey::LeafBody(leaf),
-                    name: orig.behavior(leaf).name().to_string(),
                     buses,
                 });
             }
@@ -308,7 +335,6 @@ impl<'a> Builder<'a> {
                 let buses = self.master_buses(comp, vars, &mut ifc_out, &mut ifc_in);
                 self.contexts.push(MasterCtx {
                     key: CtxKey::GuardFetch(composite, child),
-                    name: format!("{}_{}_guard", b.name(), orig.behavior(child).name()),
                     buses,
                 });
             }
@@ -318,14 +344,12 @@ impl<'a> Builder<'a> {
         for comp in ifc_out {
             self.contexts.push(MasterCtx {
                 key: CtxKey::IfcOut(comp),
-                name: format!("Bus_interface_p{}_out", comp.index()),
                 buses: a.inter_bus().into_iter().collect(),
             });
         }
         for comp in ifc_in {
             self.contexts.push(MasterCtx {
                 key: CtxKey::IfcIn(comp),
-                name: format!("Bus_interface_p{}_in", comp.index()),
                 buses: a.local_bus_of(comp).into_iter().collect(),
             });
         }
@@ -366,8 +390,8 @@ impl<'a> Builder<'a> {
     /// request/acknowledge wires and a bus arbiter (Figure 7).
     fn create_protocols_and_arbiters(&mut self) {
         let (addr_bits, data_bits) = (self.plan.addr_bits, self.plan.data_bits);
-        for (bus, plan) in self.plan.buses().iter().enumerate() {
-            let name = plan.name.as_str();
+        for bus in 0..self.plan.buses().len() {
+            let name = &bus_name(bus);
             let masters: Vec<&MasterCtx> = self
                 .contexts
                 .iter()
@@ -405,9 +429,9 @@ impl<'a> Builder<'a> {
                 reqacks.extend(ra);
             }
             if shared {
-                let arb = make_arbiter(&mut self.out, name, &reqacks);
-                self.servers.push(arb);
-                self.arbiters.push((bus, arb));
+                let behavior = make_arbiter(&mut self.out, name, &reqacks);
+                self.servers.push(behavior);
+                self.arch.arbiters.push(ArbiterDesc { behavior, bus });
             }
         }
     }
@@ -444,10 +468,12 @@ impl<'a> Builder<'a> {
         match b.kind() {
             BehaviorKind::Leaf { .. } => {
                 let refined = self.refine_leaf_body(id)?;
-                Ok(self.add_copy(Behavior::new(
+                let copy = self.add_copy(Behavior::new(
                     b.name().to_string(),
                     BehaviorKind::Leaf { body: refined },
-                )))
+                ));
+                self.masters.insert(CtxKey::LeafBody(id), copy);
+                Ok(copy)
             }
             BehaviorKind::Seq {
                 children,
@@ -530,7 +556,9 @@ impl<'a> Builder<'a> {
         let bctrl = make_bctrl(&mut self.out, base, sigs);
         let bnew = if self.orig.behavior(c).is_leaf() {
             let refined = self.refine_leaf_body(c)?;
-            make_bnew_leaf(&mut self.out, base, sigs, refined)
+            let bnew = make_bnew_leaf(&mut self.out, base, sigs, refined);
+            self.masters.insert(CtxKey::LeafBody(c), bnew);
+            bnew
         } else {
             let inner = self.copy_behavior(c)?;
             make_bnew_composite(&mut self.out, base, sigs, inner)
@@ -624,6 +652,7 @@ impl<'a> Builder<'a> {
             let o = occupant[&child];
             if let Some(body) = self.out.behavior_mut(o).body_mut() {
                 body.extend(fetches);
+                self.masters.insert(key, o);
                 continue;
             }
             // Interpose a fetch leaf after the composite occupant.
@@ -634,6 +663,7 @@ impl<'a> Builder<'a> {
                 fetch_name,
                 BehaviorKind::Leaf { body: fetches },
             ));
+            self.masters.insert(key, fetch_leaf);
             let BehaviorKind::Seq {
                 children,
                 transitions,
@@ -663,13 +693,10 @@ impl<'a> Builder<'a> {
 
     /// Fills each memory's ports with serve loops: port 0 fills the
     /// placeholder its variables are scoped to, and Model3's
-    /// multi-port global memories get one more behavior per port.
+    /// multi-port global memories get one more behavior per port. The
+    /// architecture's modules record each port behavior.
     fn fill_memories(&mut self) {
-        // A placeholder may have been renamed by `add_copy`; the module
-        // carries its behavior's name.
-        for (mem, &port0) in self.plan.memories.iter_mut().zip(&self.mem_port0) {
-            mem.name = self.out.behavior(port0).name().to_string();
-        }
+        self.arch.memories = self.plan.memories.clone();
         let data_bits = self.plan.data_bits;
         for (idx, mem) in self.plan.memories.iter().enumerate() {
             let vars: Vec<MemoryVar> = mem
@@ -682,26 +709,27 @@ impl<'a> Builder<'a> {
                 })
                 .collect();
             let decode = self.plan.addr.range_of(self.orig, &mem.vars);
-            let a = self.plan.assignment();
-            for (port, bus) in a.memory_ports(idx).into_iter().enumerate() {
+            let port0 = self.mem_port0[idx];
+            for (port, &bus) in mem.port_buses.iter().enumerate() {
                 let wires = self.wires[bus];
                 let slv = *self.slv_subs[bus].get_or_insert_with(|| SlvSubs {
-                    send: make_slv_send(&mut self.out, a.name(bus), wires, data_bits),
-                    recv: make_slv_receive(&mut self.out, a.name(bus), wires, data_bits),
+                    send: make_slv_send(&mut self.out, &bus_name(bus), wires, data_bits),
+                    recv: make_slv_receive(&mut self.out, &bus_name(bus), wires, data_bits),
                 });
                 let body = memory_port_body(wires, &vars, decode, Some(slv));
                 let id = if port == 0 {
-                    let port0 = self.mem_port0[idx];
                     *self.out.behavior_mut(port0).kind_mut() = BehaviorKind::Leaf { body };
                     port0
                 } else {
-                    let name = self
-                        .out
-                        .fresh_behavior_name(&format!("{}_port{port}", mem.name));
+                    // `add_copy` may have renamed the placeholder; the
+                    // ports carry its current name.
+                    let base = format!("{}_port{port}", self.out.behavior(port0).name());
+                    let name = self.out.fresh_behavior_name(&base);
                     self.out
                         .add_behavior(Behavior::new_server(name, BehaviorKind::Leaf { body }))
                 };
                 self.servers.push(id);
+                self.arch.memories[idx].ports.push(id);
             }
         }
     }
@@ -713,10 +741,11 @@ impl<'a> Builder<'a> {
     /// masters its local bus.
     fn create_interfaces(&mut self) {
         let a = self.plan.assignment();
-        for ctx in &mut self.contexts {
-            let (comp, serves, masters, decode) = match ctx.key {
+        for ctx in &self.contexts {
+            let (comp, dir, serves, masters, decode) = match ctx.key {
                 CtxKey::IfcOut(comp) => (
                     comp,
+                    "out",
                     a.ifc_bus_of(comp).expect("Model4 plans interface buses"),
                     a.inter_bus().expect("Model4 plans an inter bus"),
                     None,
@@ -726,11 +755,12 @@ impl<'a> Builder<'a> {
                         .plan
                         .memories
                         .iter()
-                        .filter(|m| m.component == Some(comp))
+                        .filter(|m| m.component == comp)
                         .flat_map(|m| m.vars.iter().copied())
                         .collect();
                     (
                         comp,
+                        "in",
                         a.inter_bus().expect("Model4 plans an inter bus"),
                         a.local_bus_of(comp)
                             .expect("remote target has a local memory"),
@@ -740,65 +770,50 @@ impl<'a> Builder<'a> {
                 CtxKey::LeafBody(_) | CtxKey::GuardFetch(..) => continue,
             };
             let (recv, send) = self.ctx_subs[&(masters, ctx.key)];
-            let (id, _) = make_interface(
+            let (behavior, _) = make_interface(
                 &mut self.out,
-                &ctx.name,
+                &format!("Bus_interface_p{}_{dir}", comp.index()),
                 self.wires[serves],
                 decode,
                 ForwardSubs { recv, send },
             );
-            self.servers.push(id);
-            // The bus and arbiter master lists name the behavior.
-            ctx.name = self.out.behavior(id).name().to_string();
+            self.servers.push(behavior);
+            self.masters.insert(ctx.key, behavior);
             self.arch.interfaces.push(InterfaceDesc {
-                name: ctx.name.clone(),
-                component_name: format!("p{}", comp.index()),
-                serves_bus: a.name(serves).to_string(),
-                masters_bus: a.name(masters).to_string(),
+                behavior,
+                serves_bus: serves,
+                masters_bus: masters,
             });
         }
     }
 
+    /// Lists each bus with its masters, in slot order, and its slaves:
+    /// the memory ports on it, then the interfaces serving it.
     fn populate_architecture(&mut self) {
-        for (idx, bus) in self.plan.buses().iter().enumerate() {
-            let masters: Vec<String> = self
+        for (idx, &kind) in self.plan.buses().iter().enumerate() {
+            let masters = self
                 .contexts
                 .iter()
                 .filter(|c| c.buses.contains(&idx))
-                .map(|c| c.name.clone())
+                .map(|c| self.masters[&c.key])
                 .collect();
-            let mut slaves: Vec<String> = self
-                .plan
-                .memories
-                .iter()
-                .filter(|m| m.port_buses.contains(&bus.name))
-                .map(|m| m.name.clone())
-                .collect();
-            slaves.extend(
-                self.arch
-                    .interfaces
+            let ports = self.arch.memories.iter().flat_map(|m| {
+                m.port_buses
                     .iter()
-                    .filter(|i| i.serves_bus == bus.name)
-                    .map(|i| i.name.clone()),
-            );
+                    .zip(&m.ports)
+                    .filter(|&(&bus, _)| bus == idx)
+                    .map(|(_, &port)| port)
+            });
+            let interfaces = self.arch.interfaces.iter().filter(|i| i.serves_bus == idx);
+            let slaves = ports.chain(interfaces.map(|i| i.behavior)).collect();
             self.arch.buses.push(Bus {
-                name: bus.name.clone(),
-                kind: bus.kind,
+                kind,
                 data_bits: self.plan.data_bits,
                 addr_bits: self.plan.addr_bits,
                 masters,
                 slaves,
             });
         }
-        for &(bus, arb) in &self.arbiters {
-            let bus = &self.arch.buses[bus];
-            self.arch.arbiters.push(ArbiterDesc {
-                name: self.out.behavior(arb).name().to_string(),
-                bus: bus.name.clone(),
-                masters: bus.masters.clone(),
-            });
-        }
-        self.arch.memories = self.plan.memories.clone();
     }
 
     // --- id remapping helpers ---

@@ -7,7 +7,8 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::arch::Architecture;
+use crate::arch::{bus_name, Architecture};
+use crate::refine::Refined;
 
 /// Aggregate cost indicators of a refined architecture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +37,7 @@ impl CostSummary {
             bus_pins: arch.buses.iter().map(|b| b.pins()).sum(),
             memories: arch.memory_count(),
             memory_bits: arch.total_memory_bits(),
-            memory_ports: arch.memories.iter().map(|m| m.ports()).sum(),
+            memory_ports: arch.memories.iter().map(|m| m.port_buses.len()).sum(),
             arbiters: arch.arbiters.len(),
             interfaces: arch.interfaces.len(),
         }
@@ -59,46 +60,56 @@ impl fmt::Display for CostSummary {
     }
 }
 
-/// Renders a full textual netlist description of an architecture.
-pub fn describe(arch: &Architecture) -> String {
+/// Renders a full textual netlist description of a refined
+/// architecture, naming each behavior as the refined spec does.
+pub fn describe(refined: &Refined) -> String {
+    let arch = &refined.architecture;
+    let buses = |ids: &[usize]| {
+        ids.iter()
+            .map(|&b| bus_name(b))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
     let mut out = String::new();
-    for bus in &arch.buses {
+    for (idx, bus) in arch.buses.iter().enumerate() {
         let _ = writeln!(
             out,
             "bus {} ({:?}): {} data + {} addr bits, masters [{}], slaves [{}]",
-            bus.name,
+            bus_name(idx),
             bus.kind,
             bus.data_bits,
             bus.addr_bits,
-            bus.masters.join(", "),
-            bus.slaves.join(", ")
+            refined.names(&bus.masters),
+            refined.names(&bus.slaves)
         );
     }
     for mem in &arch.memories {
         let _ = writeln!(
             out,
             "memory {}: {} words / {} bits, {} port(s) on [{}]",
-            mem.name,
+            refined.memory_name(mem),
             mem.words,
             mem.bits,
-            mem.ports(),
-            mem.port_buses.join(", ")
+            mem.port_buses.len(),
+            buses(&mem.port_buses)
         );
     }
     for arb in &arch.arbiters {
         let _ = writeln!(
             out,
             "arbiter {} on {} over [{}]",
-            arb.name,
-            arb.bus,
-            arb.masters.join(", ")
+            refined.name(arb.behavior),
+            bus_name(arb.bus),
+            refined.names(&arch.buses[arb.bus].masters)
         );
     }
     for ifc in &arch.interfaces {
         let _ = writeln!(
             out,
             "interface {}: serves {}, masters {}",
-            ifc.name, ifc.serves_bus, ifc.masters_bus
+            refined.name(ifc.behavior),
+            bus_name(ifc.serves_bus),
+            bus_name(ifc.masters_bus)
         );
     }
     let _ = writeln!(out, "cost: {}", CostSummary::of(arch));
@@ -157,7 +168,7 @@ mod tests {
     #[test]
     fn describe_mentions_every_section() {
         let r = refined(ImplModel::Model4);
-        let text = describe(&r.architecture);
+        let text = describe(&r);
         assert!(text.contains("bus b1"));
         assert!(text.contains("memory Lmem_p0"));
         assert!(text.contains("interface Bus_interface_"));

@@ -191,19 +191,22 @@ impl Stmt {
         }
     }
 
-    /// Child statement bodies, for generic traversal.
-    pub fn bodies(&self) -> Vec<&[Stmt]> {
-        match self {
+    /// Child statement bodies, for generic traversal: the two branches
+    /// of an `if`, the body of a loop, none otherwise. Walking them
+    /// allocates nothing.
+    pub fn bodies(&self) -> impl Iterator<Item = &[Stmt]> {
+        let (bodies, count): ([&[Stmt]; 2], usize) = match self {
             Stmt::If {
                 then_body,
                 else_body,
                 ..
-            } => vec![then_body.as_slice(), else_body.as_slice()],
+            } => ([then_body, else_body], 2),
             Stmt::While { body, .. } | Stmt::For { body, .. } | Stmt::Loop { body } => {
-                vec![body.as_slice()]
+                ([body, &[]], 1)
             }
-            _ => Vec::new(),
-        }
+            _ => ([&[], &[]], 0),
+        };
+        bodies.into_iter().take(count)
     }
 
     /// Total number of statements in this statement including itself and
@@ -211,7 +214,6 @@ impl Stmt {
     pub fn size(&self) -> usize {
         1 + self
             .bodies()
-            .into_iter()
             .flat_map(|b| b.iter())
             .map(Stmt::size)
             .sum::<usize>()
@@ -368,7 +370,7 @@ mod tests {
     #[test]
     fn bodies_exposes_nested_blocks() {
         let s = while_loop(lit(1), vec![skip(), delay(3)]);
-        let bodies = s.bodies();
+        let bodies: Vec<_> = s.bodies().collect();
         assert_eq!(bodies.len(), 1);
         assert_eq!(bodies[0].len(), 2);
     }

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use modref::core::{refine, ImplModel};
+use modref::core::{bus_name, refine, ImplModel};
 use modref::graph::AccessGraph;
 use modref::partition::{Allocation, Partition};
 use modref::sim::Simulator;
@@ -56,10 +56,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== refined specification (Model2) ===");
     println!("{}", printer::print(&refined.spec));
     println!("architecture:");
-    for bus in &refined.architecture.buses {
+    for (idx, bus) in refined.architecture.buses.iter().enumerate() {
         println!(
             "  {}: {} master(s), {} slave(s), {} pins",
-            bus.name,
+            bus_name(idx),
             bus.masters.len(),
             bus.slaves.len(),
             bus.pins()
@@ -68,10 +68,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for mem in &refined.architecture.memories {
         println!(
             "  {}: {} words, {} bits, {} port(s)",
-            mem.name,
+            refined.memory_name(mem),
             mem.words,
             mem.bits,
-            mem.ports()
+            mem.ports.len()
         );
     }
 

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example refine_walkthrough`
 
-use modref::core::{refine, ImplModel};
+use modref::core::{bus_name, refine, ImplModel};
 use modref::graph::AccessGraph;
 use modref::partition::{Allocation, Partition};
 use modref::spec::builder::SpecBuilder;
@@ -57,11 +57,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let refined4 = refine(&spec, &graph, &alloc, &part, ImplModel::Model4)?;
     let text4 = printer::print(&refined4.spec);
     for iface in &refined4.architecture.interfaces {
+        let name = refined4.name(iface.behavior);
         println!(
-            "interface {} serves {} and masters {}",
-            iface.name, iface.serves_bus, iface.masters_bus
+            "interface {name} serves {} and masters {}",
+            bus_name(iface.serves_bus),
+            bus_name(iface.masters_bus)
         );
-        print_behavior(&text4, &iface.name);
+        print_behavior(&text4, name);
     }
     Ok(())
 }

@@ -45,22 +45,16 @@ fn architecture_dot_is_well_formed_for_every_model() {
     let part = medical_partition(&spec, &alloc, Design::Design1);
     for model in ImplModel::ALL {
         let refined = refine(&spec, &graph, &alloc, &part, model).expect("refines");
-        let dot = modref::core::dot::to_dot(&refined.architecture);
+        let dot = modref::core::dot::to_dot(&refined);
         assert!(dot.starts_with("graph architecture {"), "{model}");
         assert!(balanced(&dot, '{', '}'), "{model}");
-        for bus in &refined.architecture.buses {
-            assert!(
-                dot.contains(&format!("\"{}\"", bus.name)),
-                "{model}: {}",
-                bus.name
-            );
+        for idx in 0..refined.architecture.buses.len() {
+            let name = modref::core::bus_name(idx);
+            assert!(dot.contains(&format!("\"{name}\"")), "{model}: {name}");
         }
         for mem in &refined.architecture.memories {
-            assert!(
-                dot.contains(&format!("\"{}\"", mem.name)),
-                "{model}: {}",
-                mem.name
-            );
+            let name = refined.memory_name(mem);
+            assert!(dot.contains(&format!("\"{name}\"")), "{model}: {name}");
         }
     }
 }

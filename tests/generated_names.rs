@@ -2,7 +2,8 @@
 //! memory, arbiter and interface behaviors. A specification that already
 //! uses one of those names must still refine: the original object keeps
 //! its name, the generated one takes a fresh name, and the architecture
-//! names the behaviors that actually exist.
+//! names the generated behaviors and passes the consistency check of
+//! `support::assert_consistent`.
 
 use modref::core::api::{Codesign, ExploreOpts, VerifyOpts};
 use modref::core::{refine, ImplModel};
@@ -11,6 +12,8 @@ use modref::sim::Simulator;
 use modref::spec::subroutine::Subroutine;
 use modref::spec::{parser, printer, DataType, Spec};
 use modref::workloads::{fig2_partition, fig2_spec, medical_allocation};
+
+mod support;
 
 /// Figure 2 with `B1` (a processor leaf, copied under its own name)
 /// renamed to `name`.
@@ -52,27 +55,30 @@ fn colliding_names_refine_under_every_model() {
         for model in ImplModel::ALL {
             let refined = refine(&spec, &graph, &alloc, &part, model)
                 .unwrap_or_else(|e| panic!("{label}/{model}: {e}"));
+            let case = format!("{label}/{model}");
+            support::assert_consistent(&case, &spec, &graph, &refined);
             let out = &refined.spec;
             let arch = &refined.architecture;
-            let behaviors = arch
+            // Every generated agent the netlist names is a server, never
+            // the user's behavior that took its name first.
+            let generated = arch
                 .memories
                 .iter()
-                .map(|m| &m.name)
-                .chain(arch.arbiters.iter().map(|a| &a.name))
-                .chain(arch.interfaces.iter().map(|i| &i.name))
-                .chain(arch.buses.iter().flat_map(|b| &b.slaves));
-            for name in behaviors {
+                .flat_map(|m| m.ports.iter().copied())
+                .chain(arch.arbiters.iter().map(|a| a.behavior))
+                .chain(arch.interfaces.iter().map(|i| i.behavior));
+            for id in generated {
                 assert!(
-                    out.behavior_by_name(name).is_some(),
-                    "{label}/{model}: architecture names `{name}`, which is no behavior"
+                    out.behavior(id).is_server(),
+                    "{case}: the architecture names `{}`, which is no generated server",
+                    refined.name(id)
                 );
             }
             for i in &arch.interfaces {
-                let bus = arch.buses.iter().find(|b| b.name == i.masters_bus);
                 assert!(
-                    bus.is_some_and(|b| b.masters.contains(&i.name)),
-                    "{label}/{model}: `{}` is no master of its bus",
-                    i.name
+                    arch.buses[i.masters_bus].masters.contains(&i.behavior),
+                    "{case}: `{}` is no master of its bus",
+                    refined.name(i.behavior)
                 );
             }
             if let Some(user) = label.strip_prefix("behavior ") {

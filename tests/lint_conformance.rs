@@ -98,16 +98,14 @@ fn overlapping_decode_ranges_trip_rc02() {
     let (cd, mut refined) = medical_refined(ImplModel::Model1);
     // Ghost module decoding the same variables as the real global memory:
     // identical (hence overlapping) address ranges.
-    let original = refined
-        .plan
+    let ghost = refined
+        .architecture
         .memories
         .iter()
         .find(|m| m.global)
         .expect("Model1 has a global memory")
         .clone();
-    let mut ghost = original;
-    ghost.name = "Ghost".into();
-    refined.plan.memories.push(ghost);
+    refined.architecture.memories.push(ghost);
     let codes = reject_codes(&cd, &refined);
     assert!(codes.contains("RC02"), "{codes}");
 }
@@ -130,10 +128,14 @@ fn dropping_a_masters_bus_releases_trips_dl05() {
     let alloc = medical_allocation();
     let part = fig2_partition(&spec, &alloc);
     let mut refined = refine(&spec, &graph, &alloc, &part, ImplModel::Model1).expect("refines");
-    let arbiters = &refined.architecture.arbiters;
-    assert_eq!(arbiters.len(), 1);
+    let arch = &refined.architecture;
+    assert_eq!(arch.arbiters.len(), 1);
+    let arbiter = arch.arbiters[0];
     assert_eq!(
-        (arbiters[0].name.as_str(), arbiters[0].masters.len()),
+        (
+            refined.name(arbiter.behavior),
+            arch.buses[arbiter.bus].masters.len()
+        ),
         ("Arbiter_b1", 4)
     );
 

@@ -72,7 +72,7 @@ fn render_stmts(
             writeln!(out, "stmt {:?} {} {span}", at.owner, steps.join("/")).unwrap();
             rebuilt.record_stmt(at.clone(), span);
         }
-        for (b, inner) in s.bodies().into_iter().enumerate() {
+        for (b, inner) in s.bodies().enumerate() {
             render_stmts(out, rebuilt, map, &at, b as u8, inner);
         }
     }

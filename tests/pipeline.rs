@@ -90,9 +90,9 @@ fn model3_global_memories_have_one_port_per_partition() {
     let refined = refine(&spec, &graph, &alloc, &part, ImplModel::Model3).expect("refines");
     for mem in &refined.architecture.memories {
         if mem.global {
-            assert_eq!(mem.ports(), alloc.len(), "{}", mem.name);
+            assert_eq!(mem.ports.len(), alloc.len(), "{}", refined.memory_name(mem));
         } else {
-            assert_eq!(mem.ports(), 1, "{}", mem.name);
+            assert_eq!(mem.ports.len(), 1, "{}", refined.memory_name(mem));
         }
     }
 }
@@ -158,17 +158,13 @@ fn arbiters_exist_exactly_on_multimaster_buses() {
     let part = medical_partition(&spec, &alloc, Design::Design1);
     for model in ImplModel::ALL {
         let refined = refine(&spec, &graph, &alloc, &part, model).expect("refines");
-        for bus in &refined.architecture.buses {
-            let has_arbiter = refined
-                .architecture
-                .arbiters
-                .iter()
-                .any(|a| a.bus == bus.name);
+        for (idx, bus) in refined.architecture.buses.iter().enumerate() {
+            let has_arbiter = refined.architecture.arbiters.iter().any(|a| a.bus == idx);
             assert_eq!(
                 has_arbiter,
                 bus.needs_arbiter(),
-                "{model} bus {}: {} masters",
-                bus.name,
+                "{model} bus b{}: {} masters",
+                idx + 1,
                 bus.masters.len()
             );
         }

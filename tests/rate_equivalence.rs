@@ -9,7 +9,7 @@
 
 use modref::core::api::{Codesign, ExploreOpts};
 use modref::core::plan::Placement;
-use modref::core::{figure9_rates, figure9_row, ImplModel, RefinePlan};
+use modref::core::{bus_name, figure9_rates, figure9_row, ImplModel, RefinePlan};
 use modref::estimate::{channel_rate, BusRateTable, LifetimeConfig};
 use modref::graph::AccessGraph;
 use modref::partition::explore::{explore, ExploreConfig};
@@ -108,8 +108,8 @@ fn reference(
             .unwrap_or_default()
     };
     let mut table = BusRateTable::new();
-    for bus in plan.buses() {
-        table.touch(bus.name.clone());
+    for bus in 0..plan.buses().len() {
+        table.touch(bus_name(bus));
     }
     for ch in graph.data_channels() {
         let Some(buses) = channel_buses.get(&ch.id()) else {
@@ -117,7 +117,7 @@ fn reference(
         };
         let rate = channel_rate(spec, ch, &model_of, &config);
         for &bus in buses {
-            table.add(plan.buses()[bus].name.clone(), rate);
+            table.add(bus_name(bus), rate);
         }
     }
     table

@@ -10,6 +10,9 @@
 //! * `lint` — the channel-to-bus map, sorted by channel, followed by the
 //!   conformance and deadlock lints of the refined candidate as JSONL.
 //!
+//! Every row's architecture also passes the consistency check of
+//! `support::assert_consistent`.
+//!
 //! The cases are the medical Designs 1–3, Figure 2 and the DSP front-end
 //! under their published partitions, and `SynthSpec` designs under
 //! `SynthSpec::partition` (salts 0 and 1) on a two- and a
@@ -33,13 +36,15 @@ use std::path::Path;
 
 use modref::analyze::diag::render_json_lines;
 use modref::core::api::Codesign;
-use modref::core::{dot, refine, report, ImplModel};
+use modref::core::{bus_name, dot, refine, report, ImplModel};
 use modref::partition::{Allocation, Component, Partition};
 use modref::spec::printer;
 use modref::workloads::{
     dsp_partition, dsp_spec, fig2_partition, fig2_spec, medical_allocation, medical_partition,
     medical_spec, Design, SynthConfig, SynthSpec,
 };
+
+mod support;
 
 const GOLDEN: &str = "tests/data/refine.golden.txt";
 
@@ -56,13 +61,13 @@ fn render_case(out: &mut String, name: &str, cd: &Codesign, alloc: &Allocation, 
         let case = format!("{name}.{model:?}.default");
         let refined = refine(cd.spec(), cd.graph(), alloc, part, model)
             .unwrap_or_else(|e| panic!("{case}: {e}"));
+        support::assert_consistent(&case, cd.spec(), cd.graph(), &refined);
         let text = printer::print(&refined.spec);
-        let buses = &refined.architecture.buses;
         let mut channels: Vec<_> = refined.channel_buses.iter().collect();
         channels.sort();
         let mut lint = String::new();
         for (ch, route) in channels {
-            let names: Vec<&str> = route.iter().map(|&b| buses[b].name.as_str()).collect();
+            let names: Vec<String> = route.iter().map(|&b| bus_name(b)).collect();
             writeln!(lint, "{} {}", ch.index(), names.join(",")).unwrap();
         }
         lint.push_str(&render_json_lines(&cd.lint_refined(&refined), &case));
@@ -72,8 +77,8 @@ fn render_case(out: &mut String, name: &str, cd: &Codesign, alloc: &Allocation, 
             refined.spec.behavior_count(),
             text.lines().count(),
             fnv1a(&text),
-            fnv1a(&report::describe(&refined.architecture)),
-            fnv1a(&dot::to_dot(&refined.architecture)),
+            fnv1a(&report::describe(&refined)),
+            fnv1a(&dot::to_dot(&refined)),
             fnv1a(&lint),
         )
         .unwrap();

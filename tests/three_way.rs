@@ -100,7 +100,7 @@ fn three_way_bus_counts_respect_p3_formulas() {
     assert_eq!(refined.architecture.bus_count(), 9);
     // And each global memory has p ports.
     for mem in refined.architecture.memories.iter().filter(|m| m.global) {
-        assert_eq!(mem.ports(), 3, "{}", mem.name);
+        assert_eq!(mem.ports.len(), 3, "{}", refined.memory_name(mem));
     }
 }
 

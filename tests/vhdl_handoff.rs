@@ -30,13 +30,15 @@ fn functional_model_is_rejected_refined_models_export() {
         let vhdl_text = vhdl::export(&refined.spec)
             .unwrap_or_else(|e| panic!("{model}: refined spec must export: {e}"));
         assert!(vhdl_text.contains("entity medical_refined is"), "{model}");
-        // Every memory module became a process.
+        // Every memory port became a process.
         for mem in &refined.architecture.memories {
-            assert!(
-                vhdl_text.contains(&format!("{}_proc : process", mem.name)),
-                "{model}: memory {} missing",
-                mem.name
-            );
+            for &port in &mem.ports {
+                let name = refined.name(port);
+                assert!(
+                    vhdl_text.contains(&format!("{name}_proc : process")),
+                    "{model}: memory port {name} missing"
+                );
+            }
         }
         // Protocol calls were inlined.
         assert!(vhdl_text.contains("-- inlined call: MST_"), "{model}");
